@@ -831,8 +831,8 @@ func e15() {
 	printTable("single-flight shared spools, E13 workload, 6 concurrent cold queries", rows)
 }
 
-// fillOf derives the average block fill of one stats record (0 when the
-// tuple-at-a-time executor ran).
+// fillOf derives the average block fill of one stats record (0 when no
+// block was emitted).
 func fillOf(st exec.Stats) float64 {
 	if st.BatchesEmitted == 0 {
 		return 0
@@ -840,12 +840,12 @@ func fillOf(st exec.Stats) float64 {
 	return float64(st.BatchTuples) / float64(st.BatchesEmitted)
 }
 
-// e16 pins the columnar batch executor on deterministic counters (wall
-// clock lives in go test -bench E16). First half: the E12 workload runs
-// serially under block capacities off/1/64/1024 — every logical counter is
-// identical across the four rows, only batches_emitted and the fill gauge
-// move, which is the batch executor's correctness contract. Second half:
-// the E15 single-flight workload runs with the elected producer's
+// e16 pins block execution on deterministic counters (wall clock lives in
+// go test -bench E16). First half: the E12 workload runs serially under
+// block capacities 1/64/1024 — every logical counter is identical across
+// the three rows, only batches_emitted and the fill gauge move, which is
+// the executor's correctness contract (capacity 1 is tuple-at-a-time).
+// Second half: the E15 single-flight workload runs with the elected producer's
 // partition workers filling the shared spool in parallel; the logical
 // counters (after the e15-style hit/duplicate fold) match the serial-
 // producer run, and batches_emitted stays deterministic because only
@@ -863,11 +863,8 @@ func e16() {
 	}
 	q := `{ x, z | member(x, z) and not skill(x, "db") and exists y: cs_lecture(y) and attends(x, y) }`
 	var rows []row
-	for _, bs := range []int{-1, 1, 64, 1024} {
+	for _, bs := range []int{1, 64, 1024} {
 		label := fmt.Sprintf("batch=%d", bs)
-		if bs < 0 {
-			label = "batch=off (tuple-at-a-time)"
-		}
 		eng := core.NewEngine(db, core.WithBatchSize(bs))
 		res, err := eng.Query(q)
 		if err != nil {

@@ -313,7 +313,7 @@ func setCache(eng *core.Engine, arg string) (string, error) {
 	switch arg {
 	case "on":
 		eng.Configure(core.WithPlanCache(0))
-		return fmt.Sprintf("cache = on (budget %d tuples)", eng.PlanCacheBudget()), nil
+		return fmt.Sprintf("cache = on (budget %d tuples)", eng.Snapshot().CacheBudget), nil
 	case "off":
 		eng.Configure(core.WithoutPlanCache())
 		return "cache = off", nil
@@ -321,9 +321,9 @@ func setCache(eng *core.Engine, arg string) (string, error) {
 		if !eng.PlanCacheEnabled() {
 			return "cache = off", nil
 		}
-		entries, tuples := eng.PlanCacheInfo()
+		s := eng.Snapshot()
 		return fmt.Sprintf("cache = on: %d entries, %d/%d tuples buffered, %d spools abandoned",
-			entries, tuples, eng.PlanCacheBudget(), eng.PlanCacheAbandoned()), nil
+			s.CacheEntries, s.CacheTuples, s.CacheBudget, s.MemoSpoolsAbandoned), nil
 	default:
 		return "", fmt.Errorf(`usage: \cache on|off|status`)
 	}
@@ -342,10 +342,10 @@ func setLimits(eng *core.Engine, arg string) (string, error) {
 			}
 			return fmt.Sprintf("%d %s", v, unit)
 		}
-		rc := eng.Robustness()
+		s := eng.Snapshot()
 		return fmt.Sprintf("tuples = %s, memory = %s\ntrips = %d, panics recovered = %d, cache entries shed = %d, cache spools abandoned = %d",
 			status(eng.TupleLimit(), "tuples"), status(eng.MemoryBudget(), "bytes"),
-			rc.LimitsTripped, rc.PanicsRecovered, rc.DegradedEvictions, rc.SpoolsAbandoned), nil
+			s.LimitsTripped, s.PanicsRecovered, s.DegradedEvictions, s.CacheSpoolsAbandoned), nil
 	case len(fields) == 1 && fields[0] == "off":
 		eng.Configure(core.WithTupleLimit(0), core.WithMemoryBudget(0))
 		return "limits cleared", nil

@@ -19,10 +19,11 @@ import (
 //
 // The dominance requirement is approximated per enclosing function: some
 // call to the charge family (Governor.charge/chargeOp/ChargeTuples/
-// ChargeBytesN, Context.chargeTuple/chargeBatch/chargeN/ChargeTuple) must
+// ChargeBytesN, Context.chargeTuple/chargeBatch/chargeN/ChargeTuple, or
+// Context.drain, which charges every block before its sink sees it) must
 // appear in the same top-level
 // function as the materialization — closures included, since emit-style
-// helpers capture the worker context. Buffers charged by their caller (the
+// helpers and drain sinks capture the worker context. Buffers charged by their caller (the
 // shared tupleSet, the memo spool's append half) carry a justified
 // //lint:ignore govcharge at the materialization site.
 //
@@ -45,9 +46,12 @@ var chargeFamily = map[string]bool{
 	"chargeN":     true,
 	"ChargeTuple": true,
 	"ChargeBatch": true,
-	// Bulk (block-granular) governor entry points of the batch executor.
+	// Bulk (block-granular) governor entry points.
 	"ChargeTuples": true,
 	"ChargeBytesN": true,
+	// The blocking operators' input loop: charges each block to the named
+	// op, then hands it to the sink closure that buffers it.
+	"drain": true,
 }
 
 func runGovCharge(pass *Pass) error {

@@ -6,20 +6,22 @@ import (
 )
 
 // IterClose enforces the iterator lifecycle contract on both sides of the
-// exec.Iterator interface:
+// exec.Iterator interface (Open / NextBatch / Close — the executor's only
+// operator contract):
 //
 //  1. An Iterator implementation whose struct holds child iterator or spool
 //     fields (any field whose type implements Iterator or carries a niladic
 //     Close/close method) must touch every such field in its own Close
 //     method — by calling its Close/close, passing it to a helper, or
-//     ranging over it (for slices of children). A forgotten child leaks the
+//     ranging over it (for slices of children). An input held through the
+//     executor's cursor counts: cursor carries a niladic close. A forgotten child leaks the
 //     subtree's buffers and, for memo producers, strands consumers on a
 //     spool that is never abandoned.
 //
 //  2. A function that obtains an iterator from a call (exec.Build and
 //     friends) must either close it or hand it off (return it, store it in
 //     a struct, pass it to another call). A variable whose only uses are
-//     Open/Next drives the iterator and then drops it on the floor.
+//     Open/NextBatch drives the iterator and then drops it on the floor.
 //
 // The check is per-function and presence-based, not path-sensitive: a Close
 // inside a conditional satisfies it (memoIter closes its input only once
@@ -50,7 +52,7 @@ func closableField(t types.Type, iface *types.Interface, from *types.Package) bo
 	if implementsIterator(t, iface) {
 		return true
 	}
-	// Non-iterator spool-like helpers (proberSpec, result sinks): anything
+	// Non-iterator helpers that own an iterator (cursor, result sinks): anything
 	// with a niladic Close/close is a resource the parent owns. Plain data
 	// types (tuples, stats, predicates) have no such method and are exempt.
 	return closeMethodOf(t, from) != nil
@@ -236,7 +238,7 @@ func checkFuncCallSites(pass *Pass, body *ast.BlockStmt, iface *types.Interface)
 	}
 
 	// Classify every use of each acquired variable. Idents consumed as the
-	// receiver of a method call are neutral (Open/Next) or closing (Close);
+	// receiver of a method call are neutral (Open/NextBatch) or closing (Close);
 	// any other appearance hands the iterator off and discharges this
 	// function's obligation.
 	closed := make(map[types.Object]bool)

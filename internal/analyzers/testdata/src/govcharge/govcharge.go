@@ -14,7 +14,7 @@ type Context struct{ gov *Governor }
 
 func (c *Context) chargeTuple(op string, t Tuple) bool { return c.gov.charge(len(t)) }
 
-// Bulk (block-granular) entry points mirroring the batch executor's.
+// Bulk (block-granular) entry points mirroring the executor's.
 func (g *Governor) ChargeTuples(op string, n int64) bool { g.budget -= int(n); return g.budget >= 0 }
 
 func (g *Governor) ChargeBytesN(op string, n, bytes int64) bool {
@@ -53,7 +53,7 @@ func plainStrings(out []string, s string) []string {
 }
 
 // governedBlockAppend bulk-charges a whole block before retaining it: the
-// batch executor's amortized pattern, recognized as governed.
+// executor's amortized pattern, recognized as governed.
 func governedBlockAppend(g *Governor, out []Tuple, block []Tuple) []Tuple {
 	if !g.ChargeTuples("block-append", int64(len(block))) {
 		return out
@@ -67,6 +67,29 @@ func governedBlockBytes(g *Governor, out []Tuple, block []Tuple) []Tuple {
 		return out
 	}
 	return append(out, block...)
+}
+
+// drain mirrors the executor's blocking-input loop: every block is charged
+// before the sink sees it.
+func (c *Context) drain(op string, blocks [][]Tuple, sink func([]Tuple)) {
+	for _, b := range blocks {
+		for _, t := range b {
+			if !c.chargeTuple(op, t) {
+				return
+			}
+		}
+		sink(b)
+	}
+}
+
+// governedDrainSink buffers inside a drain sink: the drain call is the
+// charge, so no finding.
+func governedDrainSink(c *Context, blocks [][]Tuple) []Tuple {
+	var buf []Tuple
+	c.drain("build", blocks, func(ts []Tuple) {
+		buf = append(buf, ts...)
+	})
+	return buf
 }
 
 // ungovernedBlockAppend grows a spool by whole blocks with no charge: the

@@ -6,17 +6,19 @@ package iterclose
 
 type Tuple []int
 
+type Batch struct{ Tuples []Tuple }
+
 type Iterator interface {
 	Open()
-	Next() (Tuple, bool)
+	NextBatch(max int) (*Batch, bool)
 	Close()
 }
 
 type source struct{}
 
-func (s *source) Open()               {}
-func (s *source) Next() (Tuple, bool) { return nil, false }
-func (s *source) Close()              {}
+func (s *source) Open()                        {}
+func (s *source) NextBatch(int) (*Batch, bool) { return nil, false }
+func (s *source) Close()                       {}
 
 func newSource() Iterator { return &source{} }
 
@@ -26,9 +28,9 @@ type leaky struct {
 	buf   []Tuple
 }
 
-func (l *leaky) Open()               { l.child.Open() }
-func (l *leaky) Next() (Tuple, bool) { return l.child.Next() }
-func (l *leaky) Close()              {} // want `leaky.Close does not close child field "child"`
+func (l *leaky) Open()                            { l.child.Open() }
+func (l *leaky) NextBatch(max int) (*Batch, bool) { return l.child.NextBatch(max) }
+func (l *leaky) Close()                           {} // want `leaky.Close does not close child field "child"`
 
 // tidy releases every child, directly and through a range: no findings.
 type tidy struct {
@@ -36,8 +38,8 @@ type tidy struct {
 	kids  []Iterator
 }
 
-func (t *tidy) Open()               {}
-func (t *tidy) Next() (Tuple, bool) { return nil, false }
+func (t *tidy) Open()                        {}
+func (t *tidy) NextBatch(int) (*Batch, bool) { return nil, false }
 func (t *tidy) Close() {
 	t.child.Close()
 	for _, k := range t.kids {
@@ -56,8 +58,8 @@ type spooler struct {
 	child Iterator
 }
 
-func (s *spooler) Open()               {}
-func (s *spooler) Next() (Tuple, bool) { return nil, false }
+func (s *spooler) Open()                        {}
+func (s *spooler) NextBatch(int) (*Batch, bool) { return nil, false }
 func (s *spooler) Close() { // want `spooler.Close does not close child field "sp"`
 	s.child.Close()
 }
@@ -67,8 +69,8 @@ type managed struct {
 	child Iterator
 }
 
-func (m *managed) Open()               {}
-func (m *managed) Next() (Tuple, bool) { return nil, false }
+func (m *managed) Open()                        {}
+func (m *managed) NextBatch(int) (*Batch, bool) { return nil, false }
 
 //lint:ignore iterclose the registry that built this iterator closes the child on teardown
 func (m *managed) Close() {}
@@ -78,7 +80,7 @@ func drains() {
 	it := newSource() // want `iterator "it" is never closed and never handed off`
 	it.Open()
 	for {
-		if _, ok := it.Next(); !ok {
+		if _, ok := it.NextBatch(1); !ok {
 			break
 		}
 	}

@@ -99,8 +99,8 @@ func TestPlanCacheWarmReuse(t *testing.T) {
 		t.Fatalf("warm run must read less: %d vs %d",
 			second.Stats.BaseTuplesRead, first.Stats.BaseTuplesRead)
 	}
-	if entries, tuples := eng.PlanCacheInfo(); entries == 0 || tuples == 0 {
-		t.Fatalf("memo should hold the result: entries=%d tuples=%d", entries, tuples)
+	if s := eng.Snapshot(); s.CacheEntries == 0 || s.CacheTuples == 0 {
+		t.Fatalf("memo should hold the result: entries=%d tuples=%d", s.CacheEntries, s.CacheTuples)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestPlanCacheToggle(t *testing.T) {
 	}
 
 	eng.Configure(WithoutPlanCache())
-	if eng.PlanCacheEnabled() || eng.PlanCacheBudget() != 0 {
+	if eng.PlanCacheEnabled() || eng.Snapshot().CacheBudget != 0 {
 		t.Fatal("cache should be off")
 	}
 	res, err := eng.Run(p) // Shared wrappers run transparently
@@ -183,10 +183,10 @@ func TestPlanCacheToggle(t *testing.T) {
 	}
 
 	eng.Configure(WithPlanCache(123))
-	if got := eng.PlanCacheBudget(); got != 123 {
+	if got := eng.Snapshot().CacheBudget; got != 123 {
 		t.Fatalf("budget = %d, want 123", got)
 	}
-	if entries, _ := eng.PlanCacheInfo(); entries != 0 {
+	if entries := eng.Snapshot().CacheEntries; entries != 0 {
 		t.Fatal("re-enabled cache must start cold")
 	}
 }

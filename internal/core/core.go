@@ -120,9 +120,8 @@ type Engine struct {
 	topts       translate.Options
 	useIndexes  bool
 	parallelism int
-	// batchSize is the block capacity of the batch executor: 0 selects the
-	// default (exec.DefaultBatchSize), negative the tuple-at-a-time
-	// executor, positive an explicit capacity (WithBatchSize).
+	// batchSize is the executor's block capacity (WithBatchSize); 0 selects
+	// exec.DefaultBatchSize.
 	batchSize int
 	timeout   time.Duration
 	// memo is the plan-cache result memo (WithPlanCache); nil disables
@@ -484,10 +483,13 @@ func (e *Engine) StreamContext(goCtx context.Context, p *Prepared, visit func(re
 		defer it.Close()
 		seen := make(map[string]struct{})
 		for {
-			t, ok := it.Next()
+			// Demand 1 per visited tuple: an early stop leaves unrequested
+			// tuples unread.
+			b, ok := it.NextBatch(1)
 			if !ok {
 				break
 			}
+			t := b.Tuples[0]
 			// Preserve the set semantics of materialized results. The dedup
 			// set buffers one key per distinct tuple, so it is charged like
 			// any other materialization point (found by govcharge: the one
@@ -554,7 +556,7 @@ func (e *Engine) ExplainCost(input string) (string, error) {
 	}
 	m := cost.New(e.db.cat)
 	m.SetParallelism(e.Parallelism())
-	m.SetBatchSize(e.resolvedBatchSize())
+	m.SetBatchSize(e.BatchSize())
 	out := "canonical: " + p.Canonical.String() + "\n"
 	if p.Plan != nil {
 		annotated, err := m.Explain(p.Plan)

@@ -238,6 +238,11 @@ func TestCrossStrategyAgreement(t *testing.T) {
 			check("bry-parallel", NewEngine(db, WithParallelism(4)))
 			check("bry-parallel-union", NewEngine(db, WithParallelism(3),
 				WithDisjunctiveFilters(translate.StrategyUnion)))
+			// Block capacity is invisible to answers: capacity 1 and an odd
+			// capacity that every input straddles, against the loopeval oracle.
+			check("bry-block1", NewEngine(db, WithBatchSize(1)))
+			check("bry-block7-parallel-union", NewEngine(db, WithBatchSize(7), WithParallelism(4),
+				WithDisjunctiveFilters(translate.StrategyUnion)))
 			check("bry-cached", NewEngine(db, WithPlanCache(0)))
 			check("bry-cached-union", NewEngine(db, WithPlanCache(0),
 				WithDisjunctiveFilters(translate.StrategyUnion)))

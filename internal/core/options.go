@@ -51,16 +51,15 @@ func WithParallelism(p int) Option {
 	}
 }
 
-// WithBatchSize sets the block capacity of the batch (block-at-a-time)
-// executor used by Run/Query/Check executions. Zero — the default — selects
-// the default capacity (exec.DefaultBatchSize); any negative value selects
-// the classic tuple-at-a-time executor; a positive value selects that exact
-// capacity. Streaming executions and boolean (emptiness) probes always run
-// tuple-at-a-time regardless, since early termination dominates there.
+// WithBatchSize sets the executor's block capacity: how many tuples Run and
+// every blocking operator ask their inputs for at a time. Zero or negative —
+// the default — selects exec.DefaultBatchSize. Emptiness probes and
+// streaming executions are unaffected: they state their own demand of one
+// tuple, which streaming operators pass down.
 func WithBatchSize(n int) Option {
 	return func(e *Engine) {
 		if n < 0 {
-			n = -1
+			n = 0
 		}
 		e.batchSize = n
 	}
@@ -210,28 +209,12 @@ func (e *Engine) Parallelism() int {
 	return e.parallelism
 }
 
-// BatchSize returns the configured block capacity of the batch executor:
-// 0 = default (exec.DefaultBatchSize), -1 = tuple-at-a-time, otherwise the
-// explicit capacity.
+// BatchSize returns the executor's effective block capacity.
 func (e *Engine) BatchSize() int {
-	if e.batchSize < 0 {
-		return -1
+	if e.batchSize == 0 {
+		return exec.DefaultBatchSize
 	}
 	return e.batchSize
-}
-
-// resolvedBatchSize is the effective block capacity as the executor will
-// see it: the default resolves to exec.DefaultBatchSize, tuple-at-a-time
-// to 1 (per-tuple bookkeeping, for the cost model's amortization).
-func (e *Engine) resolvedBatchSize() int {
-	switch {
-	case e.batchSize < 0:
-		return 1
-	case e.batchSize == 0:
-		return exec.DefaultBatchSize
-	default:
-		return e.batchSize
-	}
 }
 
 // Timeout returns the engine-level execution bound (0 = none).
@@ -239,30 +222,6 @@ func (e *Engine) Timeout() time.Duration { return e.timeout }
 
 // PlanCacheEnabled reports whether the memoizing subplan cache is on.
 func (e *Engine) PlanCacheEnabled() bool { return e.memo != nil }
-
-// PlanCacheBudget returns the cache's tuple budget (0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().CacheBudget instead.
-func (e *Engine) PlanCacheBudget() int {
-	return e.Snapshot().CacheBudget
-}
-
-// PlanCacheInfo returns the cache's current entry and buffered-tuple counts
-// (both 0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().CacheEntries/CacheTuples instead.
-func (e *Engine) PlanCacheInfo() (entries, tuples int) {
-	s := e.Snapshot()
-	return s.CacheEntries, s.CacheTuples
-}
-
-// PlanCacheAbandoned returns how many cache spools were abandoned before
-// publication over the current memo's lifetime (0 when disabled).
-//
-// Deprecated: read Engine.Snapshot().MemoSpoolsAbandoned instead.
-func (e *Engine) PlanCacheAbandoned() int64 {
-	return e.Snapshot().MemoSpoolsAbandoned
-}
 
 // TupleLimit returns the engine-level tuple budget (0 = unbounded).
 func (e *Engine) TupleLimit() int64 { return e.tupleLimit }
@@ -272,35 +231,6 @@ func (e *Engine) MemoryBudget() int64 { return e.memBudget }
 
 // FaultPlan returns the installed fault-injection plan (nil in production).
 func (e *Engine) FaultPlan() *faultinject.Plan { return e.faults }
-
-// RobustnessCounters are the engine's cumulative robustness counters,
-// accumulated across every execution since construction.
-type RobustnessCounters struct {
-	PanicsRecovered   int64
-	LimitsTripped     int64
-	DegradedEvictions int64
-	// SpoolsAbandoned counts plan-cache spools given up before publication
-	// (cancellation, governor trips, budget overflow, producer death under
-	// fault injection). A non-zero value explains why CacheTuplesSpooled can
-	// exceed the tuples ever published.
-	SpoolsAbandoned int64
-}
-
-// Robustness returns the cumulative robustness counters. They keep counting
-// across failed runs — precisely the runs whose per-call Stats the caller
-// never sees.
-//
-// Deprecated: Robustness is a thin view over Snapshot; new code should read
-// the same counters from Engine.Snapshot().
-func (e *Engine) Robustness() RobustnessCounters {
-	s := e.Snapshot()
-	return RobustnessCounters{
-		PanicsRecovered:   s.PanicsRecovered,
-		LimitsTripped:     s.LimitsTripped,
-		DegradedEvictions: s.DegradedEvictions,
-		SpoolsAbandoned:   s.CacheSpoolsAbandoned,
-	}
-}
 
 // noteRun folds one boundary's counters into the engine's cumulative
 // Snapshot state, exactly once per boundary (the callers defer it).

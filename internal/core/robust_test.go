@@ -58,8 +58,8 @@ func TestWithTupleLimitAborts(t *testing.T) {
 	if re.Limit != "tuples" {
 		t.Fatalf("limit = %q, want tuples", re.Limit)
 	}
-	if eng.Robustness().LimitsTripped < 1 {
-		t.Fatal("cumulative LimitsTripped not recorded")
+	if s := eng.Snapshot(); s.LimitsTripped < 1 || s.Runs != 1 {
+		t.Fatalf("the failed run must count and its trip must be recorded: %+v", s)
 	}
 	// The same engine, unbounded, answers immediately afterwards.
 	eng.Configure(WithTupleLimit(0))
@@ -145,7 +145,7 @@ func TestMemoryPressureShedsPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries, _ := eng.PlanCacheInfo(); entries < 1 {
+	if entries := eng.Snapshot().CacheEntries; entries < 1 {
 		t.Fatal("warm-up query did not populate the plan cache")
 	}
 	eng.Configure(WithMemoryBudget(256))
@@ -159,10 +159,10 @@ func TestMemoryPressureShedsPlanCache(t *testing.T) {
 	if res.Stats.DegradedEvictions < 1 {
 		t.Fatalf("expected shed entries, stats: %s", &res.Stats)
 	}
-	if entries, _ := eng.PlanCacheInfo(); entries != 0 {
+	if entries := eng.Snapshot().CacheEntries; entries != 0 {
 		t.Fatalf("cache still holds %d entries after shedding", entries)
 	}
-	if eng.Robustness().DegradedEvictions < 1 {
+	if eng.Snapshot().DegradedEvictions < 1 {
 		t.Fatal("cumulative DegradedEvictions not recorded")
 	}
 }
@@ -201,7 +201,7 @@ func TestEveryInjectionPointSurfacesTyped(t *testing.T) {
 					if !errors.As(err, &pe) {
 						t.Fatalf("ExecError does not unwrap to *PanicError: %v", err)
 					}
-					if eng.Robustness().PanicsRecovered < 1 {
+					if eng.Snapshot().PanicsRecovered < 1 {
 						t.Fatal("recovered panic not counted")
 					}
 				}
@@ -253,7 +253,7 @@ func TestRobustnessOptionsAccessors(t *testing.T) {
 	if eng.TupleLimit() != 0 || eng.MemoryBudget() != 0 || eng.FaultPlan() != nil {
 		t.Fatalf("clamping failed: %d %d %v", eng.TupleLimit(), eng.MemoryBudget(), eng.FaultPlan())
 	}
-	rc := eng.Robustness()
+	rc := eng.Snapshot()
 	if rc.PanicsRecovered != 0 || rc.LimitsTripped != 0 || rc.DegradedEvictions != 0 {
 		t.Fatalf("fresh engine has robustness history: %+v", rc)
 	}

@@ -80,7 +80,7 @@ func TestEngineConcurrentColdQueriesSingleFlight(t *testing.T) {
 	if hits+dups < n-1 {
 		t.Fatalf("hits(%d)+duplicates avoided(%d) < %d", hits, dups, n-1)
 	}
-	if got := eng.Robustness().SpoolsAbandoned; got != 0 {
+	if got := eng.Snapshot().CacheSpoolsAbandoned; got != 0 {
 		t.Fatalf("clean hammer abandoned %d spools", got)
 	}
 }

@@ -1,14 +1,11 @@
 package core
 
-// This file is the engine's unified observability surface. Before it, three
-// ad-hoc windows existed side by side: per-run exec.Stats on each Result,
-// the cumulative Engine.Robustness() counters, and the scattered plan-cache
-// accessors (PlanCacheInfo, PlanCacheBudget, PlanCacheAbandoned). Snapshot
-// replaces the trio with one exported, JSON-tagged, versioned record that a
-// service tier can serve verbatim (queryd's /stats) and that diffing tools
-// can subtract window over window. The old accessors survive as thin
-// deprecated wrappers over Snapshot, so queryctl and benchrepro migrate
-// without churn.
+// This file is the engine's unified observability surface: per-run
+// exec.Stats live on each Result, and everything cumulative — execution
+// counters, robustness counters, plan-cache occupancy — is read from one
+// exported, JSON-tagged, versioned record that a service tier can serve
+// verbatim (queryd's /stats) and that diffing tools can subtract window
+// over window.
 
 // SnapshotVersion is the schema version stamped into every Snapshot. Bump
 // it whenever a field is added, renamed, or changes meaning, so persisted
@@ -43,9 +40,10 @@ type Snapshot struct {
 	Materializations   int64 `json:"materializations"`
 	OutputTuples       int64 `json:"output_tuples"`
 	PartitionsExecuted int64 `json:"partitions_executed"`
-	// BatchesEmitted counts blocks emitted by producing batch operators (0
-	// on tuple-at-a-time runs). Memo replay and single-flight consumption
-	// are excluded, keeping the counter deterministic under concurrency.
+	// BatchesEmitted counts blocks emitted by producing operators, the
+	// demand-1 blocks of emptiness probes and streams included. Memo replay
+	// and single-flight consumption are excluded, keeping the counter
+	// deterministic under concurrency.
 	BatchesEmitted int64 `json:"batches_emitted"`
 	// AvgBatchFill is the cumulative average tuples per emitted block — a
 	// derived gauge (0 when no blocks were emitted); Diff keeps the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -33,39 +32,6 @@ func TestSnapshotCountsRuns(t *testing.T) {
 	}
 	if s.BaseTuplesRead != res.Stats.BaseTuplesRead {
 		t.Fatalf("one run: cumulative reads %d != run reads %d", s.BaseTuplesRead, res.Stats.BaseTuplesRead)
-	}
-}
-
-// TestSnapshotDeprecatedWrappersAgree: the legacy accessors are views over
-// Snapshot and must report the same numbers.
-func TestSnapshotDeprecatedWrappersAgree(t *testing.T) {
-	eng := NewEngine(demoDB(), WithPlanCache(0), WithTupleLimit(2))
-	_, err := eng.Query(`{ x, y | student(x) and attends(x, y) }`)
-	var re *ResourceError
-	if !errors.As(err, &re) {
-		t.Fatalf("want a governor trip, got %v", err)
-	}
-	s := eng.Snapshot()
-	if s.Runs != 1 {
-		t.Fatalf("failed runs still count: %+v", s)
-	}
-	if s.LimitsTripped == 0 {
-		t.Fatalf("trip must surface in the snapshot: %+v", s)
-	}
-	rc := eng.Robustness()
-	if rc.LimitsTripped != s.LimitsTripped || rc.PanicsRecovered != s.PanicsRecovered ||
-		rc.DegradedEvictions != s.DegradedEvictions || rc.SpoolsAbandoned != s.CacheSpoolsAbandoned {
-		t.Fatalf("Robustness %+v disagrees with Snapshot %+v", rc, s)
-	}
-	if got, want := eng.PlanCacheBudget(), s.CacheBudget; got != want {
-		t.Fatalf("PlanCacheBudget %d != CacheBudget %d", got, want)
-	}
-	entries, tuples := eng.PlanCacheInfo()
-	if entries != s.CacheEntries || tuples != s.CacheTuples {
-		t.Fatalf("PlanCacheInfo (%d,%d) != Snapshot (%d,%d)", entries, tuples, s.CacheEntries, s.CacheTuples)
-	}
-	if eng.PlanCacheAbandoned() != s.MemoSpoolsAbandoned {
-		t.Fatalf("PlanCacheAbandoned %d != MemoSpoolsAbandoned %d", eng.PlanCacheAbandoned(), s.MemoSpoolsAbandoned)
 	}
 }
 

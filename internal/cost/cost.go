@@ -66,14 +66,16 @@ const (
 	partitionShare = 0.25
 	// blockOverhead is the iteration bookkeeping a probe step carries —
 	// cancellation poll, fault hook, governor charge — relative to the step
-	// itself. The tuple executor pays it per tuple; the batch executor pays
-	// it once per block, so the modelled term is blockOverhead/batch per
+	// itself. The executor pays it once per block (once per tuple at block
+	// capacity 1), so the modelled term is blockOverhead/batch per
 	// tuple: ~2.4e-4 at the default block capacity, visible in EXPLAIN but
 	// far too small to reorder translation strategies (E11).
 	blockOverhead = 0.25
 )
 
-// New builds a model over the catalog (serial tuple-at-a-time executor).
+// New builds a model over the catalog for a serial executor at block
+// capacity 1 (bookkeeping paid per tuple) until SetParallelism/SetBatchSize
+// say otherwise.
 func New(cat *storage.Catalog) *Model {
 	return &Model{cat: cat, distinct: make(map[string][]float64), parallelism: 1, batch: 1}
 }
@@ -88,8 +90,8 @@ func (m *Model) SetParallelism(p int) {
 }
 
 // SetBatchSize tells the model the executor's block capacity, amortizing
-// the probe schema's per-tuple bookkeeping term across it. Values below 2
-// (including the tuple-at-a-time executor's) keep the per-tuple charge.
+// the probe schema's per-tuple bookkeeping term across it. Values below 1
+// are treated as capacity 1, the per-tuple charge.
 func (m *Model) SetBatchSize(n int) {
 	if n < 1 {
 		n = 1
@@ -309,8 +311,7 @@ func (m *Model) pair(l, r algebra.Plan, seen map[uint64]bool) (Estimate, Estimat
 // sequential scatter pass over both inputs.
 func (m *Model) probeCost(l, r Estimate, probeShare float64) float64 {
 	build, probe := r.Rows, l.Rows*probeShare
-	// Iteration bookkeeping: per tuple under the tuple executor (batch=1),
-	// per block — i.e. divided by the block capacity — under the batch one.
+	// Iteration bookkeeping: per block, i.e. divided by the block capacity.
 	keeping := (build + probe) * blockOverhead / m.batch
 	if m.parallelism > 1 {
 		scatter := (l.Rows + r.Rows) * partitionShare

@@ -15,10 +15,14 @@ import (
 )
 
 // batchParityPlans extends the join family with composite shapes covering
-// the batch-native streaming operators (select, project, union), the
-// adapter sandwiches around the blocking operators (diff, division,
-// group-count, materialize), and a Shared node feeding the memo spool.
+// the streaming operators (select, project, union), one plan per blocking
+// operator (×, ∖, ∩, ÷, group-count, materialize), and a Shared node feeding
+// the memo spool.
 func batchParityPlans(cat *storage.Catalog) map[string]algebra.Plan {
+	three := cat.MustDefine("T3", relation.NewSchema("t"))
+	for i := int64(0); i < 3; i++ {
+		three.InsertValues(relation.Int(i))
+	}
 	plans := joinFamilyPlans(cat)
 	plans["select-project"] = &algebra.Project{
 		Input: &algebra.Select{Input: scan(cat, "R"),
@@ -26,10 +30,11 @@ func batchParityPlans(cat *storage.Catalog) map[string]algebra.Plan {
 		Cols: []int{1},
 	}
 	plans["union"] = &algebra.Union{Left: scan(cat, "R"), Right: scan(cat, "S")}
-	plans["diff"] = &algebra.Diff{
-		Left:  &algebra.Project{Input: scan(cat, "R"), Cols: []int{1}},
-		Right: &algebra.Project{Input: scan(cat, "S"), Cols: []int{0}},
-	}
+	plans["product"] = &algebra.Product{Left: scan(cat, "R"), Right: scan(cat, "T3")}
+	rb := func() algebra.Plan { return &algebra.Project{Input: scan(cat, "R"), Cols: []int{1}} }
+	sb := func() algebra.Plan { return &algebra.Project{Input: scan(cat, "S"), Cols: []int{0}} }
+	plans["diff"] = &algebra.Diff{Left: rb(), Right: sb()}
+	plans["intersect"] = &algebra.Intersect{Left: rb(), Right: sb()}
 	plans["division"] = &algebra.Division{
 		Dividend: scan(cat, "S"),
 		Divisor:  &algebra.Project{Input: scan(cat, "S"), Cols: []int{1}},
@@ -42,12 +47,166 @@ func batchParityPlans(cat *storage.Catalog) map[string]algebra.Plan {
 	return plans
 }
 
+// refEval is the parity test's independent reference: each operator written
+// straight from its set-theoretic definition as nested loops over
+// materialized inputs — no iterators, blocks, hashing or demand.
+// (internal/loopeval cannot serve here: it imports this package, and its
+// calculus has no ∅-padded outer-join results to compare with.)
+func refEval(t *testing.T, cat *storage.Catalog, p algebra.Plan) *relation.Relation {
+	t.Helper()
+	out := relation.NewUnnamed(p.Schema())
+	eval := func(q algebra.Plan) []relation.Tuple { return refEval(t, cat, q).Tuples() }
+	partners := func(l relation.Tuple, right []relation.Tuple, on []algebra.ColPair) (ms []relation.Tuple) {
+		lk, rk := splitPairs(on)
+		for _, r := range right {
+			if l.EqualOn(lk, r, rk) {
+				ms = append(ms, r)
+			}
+		}
+		return ms
+	}
+	contains := func(ts []relation.Tuple, t relation.Tuple) bool {
+		for _, u := range ts {
+			if t.Equal(u) {
+				return true
+			}
+		}
+		return false
+	}
+	switch n := p.(type) {
+	case *algebra.Scan:
+		r, err := cat.Relation(n.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	case *algebra.Materialize:
+		return refEval(t, cat, n.Input)
+	case *algebra.Shared:
+		return refEval(t, cat, n.Input)
+	case *algebra.Select:
+		for _, u := range eval(n.Input) {
+			if keep, _ := n.Pred.Eval(u); keep {
+				out.Insert(u)
+			}
+		}
+	case *algebra.Project:
+		for _, u := range eval(n.Input) {
+			out.Insert(u.Project(n.Cols))
+		}
+	case *algebra.Union:
+		for _, u := range append(eval(n.Left), eval(n.Right)...) {
+			out.Insert(u)
+		}
+	case *algebra.Product:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			for _, r := range right {
+				out.Insert(l.Concat(r))
+			}
+		}
+	case *algebra.Diff:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			if !contains(right, l) {
+				out.Insert(l)
+			}
+		}
+	case *algebra.Intersect:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			if contains(right, l) {
+				out.Insert(l)
+			}
+		}
+	case *algebra.Join:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			for _, r := range partners(l, right, n.On) {
+				j := l.Concat(r)
+				if n.Residual != nil {
+					if keep, _ := n.Residual.Eval(j); !keep {
+						continue
+					}
+				}
+				out.Insert(j)
+			}
+		}
+	case *algebra.SemiJoin:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			if len(partners(l, right, n.On)) > 0 {
+				out.Insert(l)
+			}
+		}
+	case *algebra.ComplementJoin:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			if len(partners(l, right, n.On)) == 0 {
+				out.Insert(l)
+			}
+		}
+	case *algebra.OuterJoin:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			ms := partners(l, right, n.On)
+			if len(ms) == 0 {
+				ms = []relation.Tuple{nullTuple(n.Right.Schema().Arity())}
+			}
+			for _, r := range ms {
+				out.Insert(l.Concat(r))
+			}
+		}
+	case *algebra.ConstrainedOuterJoin:
+		right := eval(n.Right)
+		for _, l := range eval(n.Left) {
+			flag := relation.Null()
+			if n.ConstraintHolds(l) && len(partners(l, right, n.On)) > 0 {
+				flag = relation.Mark()
+			}
+			out.Insert(l.Append(flag))
+		}
+	case *algebra.Division:
+		dividend, divisor := eval(n.Dividend), eval(n.Divisor)
+		for _, l := range dividend {
+			key, all := l.Project(n.KeyCols), true
+			for _, d := range divisor {
+				found := false
+				for _, u := range dividend {
+					found = found || (u.Project(n.KeyCols).Equal(key) && u.Project(n.DivCols).Equal(d))
+				}
+				all = all && found
+			}
+			if all {
+				out.Insert(key)
+			}
+		}
+	case *algebra.GroupCount:
+		in := eval(n.Input)
+		for _, l := range in {
+			key, count := l.Project(n.GroupCols), int64(0)
+			for _, u := range in {
+				if u.Project(n.GroupCols).Equal(key) {
+					count++
+				}
+			}
+			out.Insert(key.Append(relation.Int(count)))
+		}
+		if len(n.GroupCols) == 0 && len(in) == 0 {
+			out.Insert(relation.Tuple{relation.Int(0)})
+		}
+	default:
+		t.Fatalf("refEval: unknown plan node %T", p)
+	}
+	return out
+}
+
 // normalizeBatchStats folds away the counters that legitimately differ
-// between the tuple and block pipelines. Block counts are physical, not
-// logical; and whether a second Shared reference attaches to an in-flight
-// spool (duplicate avoided) or replays the published entry (hit) depends on
-// when it opens relative to spool completion — a pipeline-shape detail. The
-// sum is the invariant, exactly as in benchrepro's E15 fold.
+// between block capacities. Block counts are physical, not logical; and
+// whether a second Shared reference attaches to an in-flight spool
+// (duplicate avoided) or replays the published entry (hit) depends on when
+// it opens relative to spool completion — a pipeline-shape detail. The sum
+// is the invariant, exactly as in benchrepro's E15 fold.
 func normalizeBatchStats(s Stats) Stats {
 	s.BatchesEmitted, s.BatchTuples = 0, 0
 	s.CacheHits += s.CacheDuplicatesAvoided
@@ -55,59 +214,46 @@ func normalizeBatchStats(s Stats) Stats {
 	return s
 }
 
-// TestBatchSizeParity is the cross-strategy property test of DESIGN.md §9:
-// for every plan shape — join family, streaming composites, adapter
-// sandwiches, a Shared memo spool — block sizes 1, 7 and 1024 must return
-// exactly the tuple-at-a-time relation and charge identical logical stats,
-// serial and partition-parallel, memo on and off.
+// TestBatchSizeParity is the cross-capacity property test of DESIGN.md §9:
+// for every plan shape — join family, streaming composites, every blocking
+// operator, a Shared memo spool — block capacities 1, 7 and 1024 must return
+// exactly the reference relation and charge identical logical stats, serial
+// and partition-parallel, memo on and off. The second catalog is larger than
+// the default capacity, so every blocking drain straddles a block boundary
+// at all three capacities.
 func TestBatchSizeParity(t *testing.T) {
-	for _, seed := range []int64{11, 12} {
-		cat := randomJoinCatalog(seed, 250)
+	for seed, n := range map[int64]int{11: 250, 12: 1100} {
+		cat := randomJoinCatalog(seed, n)
 		for name, plan := range batchParityPlans(cat) {
+			want := refEval(t, cat, plan)
 			for _, par := range []int{1, 4} {
 				for _, withMemo := range []bool{false, true} {
-					mkCtx := func(bs int) *Context {
+					var base *Stats
+					for _, bs := range []int{1, 7, 1024} {
 						ctx := NewContext(cat)
 						ctx.Parallelism = par
 						ctx.BatchSize = bs
 						if withMemo {
 							ctx.Memo = NewMemo(0) // cold per run: spool counters stay comparable
 						}
-						return ctx
-					}
-					baseCtx := mkCtx(-1)
-					want, err := Run(baseCtx, plan)
-					if err != nil {
-						t.Fatalf("seed %d %s p=%d memo=%v: tuple run: %v", seed, name, par, withMemo, err)
-					}
-					for _, bs := range []int{1, 7, 1024} {
-						ctx := mkCtx(bs)
 						got, err := Run(ctx, plan)
 						if err != nil {
-							t.Fatalf("seed %d %s p=%d memo=%v bs=%d: batch run: %v",
-								seed, name, par, withMemo, bs, err)
+							t.Fatalf("seed %d %s p=%d memo=%v bs=%d: %v", seed, name, par, withMemo, bs, err)
 						}
 						if !got.Equal(want) {
-							t.Errorf("seed %d %s p=%d memo=%v bs=%d: batch result differs\ngot %d tuples, want %d",
+							t.Errorf("seed %d %s p=%d memo=%v bs=%d: result differs from the reference\ngot %d tuples, want %d",
 								seed, name, par, withMemo, bs, got.Len(), want.Len())
 						}
 						if want.Len() > 0 && ctx.Stats.BatchesEmitted == 0 {
-							t.Errorf("seed %d %s p=%d memo=%v bs=%d: block executor did not run",
+							t.Errorf("seed %d %s p=%d memo=%v bs=%d: no block was counted",
 								seed, name, par, withMemo, bs)
 						}
 						gotStats := normalizeBatchStats(*ctx.Stats)
-						wantStats := normalizeBatchStats(*baseCtx.Stats)
-						if name == "division" {
-							// divisionIter walks its group table in Go map
-							// order and bails out of a group on the first
-							// missing divisor tuple, so Comparisons is
-							// iteration-order-dependent even between two
-							// tuple-at-a-time runs of the same plan.
-							gotStats.Comparisons, wantStats.Comparisons = 0, 0
-						}
-						if gotStats != wantStats {
-							t.Errorf("seed %d %s p=%d memo=%v bs=%d: stats diverge\nbatch: %s\ntuple: %s",
-								seed, name, par, withMemo, bs, gotStats.String(), wantStats.String())
+						if base == nil {
+							base = &gotStats
+						} else if gotStats != *base {
+							t.Errorf("seed %d %s p=%d memo=%v: stats diverge between capacities\nbs=%d: %s\nbs=1: %s",
+								seed, name, par, withMemo, bs, gotStats.String(), base.String())
 						}
 					}
 				}
@@ -164,28 +310,28 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 		Input: &algebra.Select{Input: scan(cat, "Empty"), Pred: algebra.True{}},
 		Cols:  []int{0},
 	}
-	it, err := BuildBatch(ctx, plan)
+	it, err := Build(ctx, plan)
 	if err != nil {
-		t.Fatalf("BuildBatch: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
 	it.Open()
 	defer it.Close()
-	if b, ok := it.NextBatch(); ok {
+	if b, ok := it.NextBatch(DefaultBatchSize); ok {
 		t.Fatalf("empty pipeline emitted a block of %d tuples", len(b.Tuples))
 	}
-	pj, ok := it.(*batchProjectIter)
+	pj, ok := it.(*projectIter)
 	if !ok {
-		t.Fatalf("root iterator is %T, want *batchProjectIter", it)
+		t.Fatalf("root iterator is %T, want *projectIter", it)
 	}
-	if cap(pj.out) != 0 {
-		t.Errorf("project allocated a %d-cap output block over an empty input", cap(pj.out))
+	if cap(pj.blk.out) != 0 {
+		t.Errorf("project allocated a %d-cap output block over an empty input", cap(pj.blk.out))
 	}
-	sel, ok := pj.in.(*batchSelectIter)
+	sel, ok := pj.in.in.(*selectIter)
 	if !ok {
-		t.Fatalf("project input is %T, want *batchSelectIter", pj.in)
+		t.Fatalf("project input is %T, want *selectIter", pj.in.in)
 	}
-	if cap(sel.out) != 0 {
-		t.Errorf("select allocated a %d-cap output block over an empty input", cap(sel.out))
+	if cap(sel.blk.out) != 0 {
+		t.Errorf("select allocated a %d-cap output block over an empty input", cap(sel.blk.out))
 	}
 
 	// The memo spool presize takes the same whole-block reservation: 0 for
@@ -202,13 +348,13 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath for the
-// block executor's parallel spool producers: the Shared subtree contains a
+// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath for
+// parallel spool producers: the Shared subtree contains a
 // partitioned join, the block size is tiny so the elected producer appends
 // many blocks per spool, and faults strike the append path mid-spool with a
 // concurrent consumer attached. The invariant is unchanged: both runs
 // terminate, failures are the injected ones, survivors return the baseline,
-// and the same memo afterwards serves a clean batched run — producer death
+// and the same memo afterwards serves a clean run — producer death
 // abandons deterministically and re-elects, never publishing partial blocks.
 func TestChaosBatchParallelProducerDeath(t *testing.T) {
 	testutil.CheckGoroutines(t)

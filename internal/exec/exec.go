@@ -69,13 +69,12 @@ type Context struct {
 	// engine uses GovernedCheckInterval) so abort latency stays
 	// tuple-bounded.
 	CheckInterval int
-	// BatchSize selects Run's executor. 0 (the default) drives the
-	// block-at-a-time executor at DefaultBatchSize; a positive value picks
-	// the block capacity; a negative value selects the classic
-	// tuple-at-a-time pipeline (batch-off parity runs, tuple-granular
-	// cancellation latency). EvalBool's emptiness probes and the engine's
-	// streaming path always run tuple-at-a-time: their point is early
-	// termination, which block accumulation would defeat.
+	// BatchSize is the block capacity Run and every blocking consumer (hash
+	// build, partition drain, dedup/group/materialize buffers) ask their
+	// inputs for; zero or negative selects DefaultBatchSize. Streaming
+	// operators have no capacity of their own: they pass their consumer's
+	// demand down (see Iterator), so an emptiness probe's single demand-1
+	// pull reads exactly one tuple from each streaming leaf.
 	BatchSize int
 
 	// goCtx is the cancellation source; nil means uncancellable.
@@ -293,17 +292,73 @@ func (c *Context) serialChild() *Context {
 	return &child
 }
 
-// Iterator is the volcano interface. Open prepares the operator (blocking
-// operators do their buffering here), Next yields the next tuple, Close
+// DefaultBatchSize is the block capacity used when the context does not
+// choose one. 1024 tuples keeps a block of pointer-sized headers within a
+// few cache pages while amortizing the per-block bookkeeping ~1000×.
+const DefaultBatchSize = 1024
+
+// blockSize returns the effective block capacity.
+func (c *Context) blockSize() int {
+	if c.BatchSize > 0 {
+		return c.BatchSize
+	}
+	return DefaultBatchSize
+}
+
+// noteBatch records one emitted block of n tuples. Only producing operators
+// call it — scan, select, project, union, the joins, the blocking operators'
+// output side, and the memo producer/private paths. Memo replay and
+// single-flight consumption do NOT: they re-deliver blocks another
+// evaluation produced, and whether a concurrent run replays or consumes is
+// scheduling-dependent, so counting only production keeps BatchesEmitted
+// deterministic for a fixed workload.
+func (c *Context) noteBatch(n int) {
+	c.Stats.BatchesEmitted++
+	c.Stats.BatchTuples += int64(n)
+}
+
+// Batch is one block of tuples flowing between operators. Tuples is never
+// empty on a successful NextBatch.
+type Batch struct {
+	Tuples []relation.Tuple
+}
+
+// Iterator is the executor's only operator contract: a block-at-a-time
+// volcano interface driven by consumer demand. Open prepares the operator
+// (join builds and the other blocking operators buffer here), NextBatch(max)
+// yields the next block of 1..max tuples or reports exhaustion, Close
 // releases resources. Iterators are single-use.
+//
+// Demand: the consumer decides max. Run and every blocking consumer ask for
+// Context.blockSize(); streaming operators (scan, select, project, union,
+// the probe side of the join family, the memo, the parallel join's output
+// slicing) pass their own consumer's max straight down. Early termination is
+// therefore not a second engine but demand 1: an emptiness probe pulls one
+// block of max 1 and reads exactly the tuples a tuple-at-a-time pipeline
+// would, while the blocking drains below it still move full blocks.
+//
+// Ownership: a *Batch returned by NextBatch is valid only until the next
+// NextBatch or Close call on the same iterator — producers reuse both the
+// Batch struct and (for buffering operators) its backing slice. The tuples
+// themselves are immutable once emitted, so retaining a tuple is always
+// safe; retaining the slice is not. Zero-copy emitters (scan, materialize,
+// the parallel join's partition outputs, memo replay) return stable views,
+// but consumers must not rely on that.
+//
+// Per-tuple bookkeeping — context polls, fireFault hooks, governor charges —
+// is paid once per block. Cancellation polls stay tuple-denominated: each
+// per-block poll goes through Context.interruptedN weighted by the block's
+// tuple count, so the CheckInterval latency bound ("fewer than CheckInterval
+// tuples flow past a cancellation") holds at any demand.
 type Iterator interface {
 	Open()
-	Next() (relation.Tuple, bool)
+	NextBatch(max int) (*Batch, bool)
 	Close()
 }
 
 // Build compiles a plan into an iterator tree against the context's catalog.
-// All catalog resolution errors surface here, so Next can stay error-free.
+// All catalog resolution errors surface here, so NextBatch can stay
+// error-free.
 func Build(ctx *Context, p algebra.Plan) (Iterator, error) {
 	switch n := p.(type) {
 	case *algebra.Scan:
@@ -320,19 +375,17 @@ func Build(ctx *Context, p algebra.Plan) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &selectIter{ctx: ctx, in: in, pred: n.Pred}, nil
+		return &selectIter{ctx: ctx, in: cursor{in: in}, pred: n.Pred}, nil
 	case *algebra.Project:
 		in, err := Build(ctx, n.Input)
 		if err != nil {
 			return nil, err
 		}
-		return newProjectIter(ctx, in, n.Cols, !n.NoDedup), nil
-	case *algebra.Product:
-		l, r, err := buildPair(ctx, n.Left, n.Right)
-		if err != nil {
-			return nil, err
+		it := &projectIter{ctx: ctx, in: cursor{in: in}, cols: n.Cols}
+		if !n.NoDedup {
+			it.seen = newTupleSet()
 		}
-		return &productIter{ctx: ctx, left: l, right: r}, nil
+		return it, nil
 	case *algebra.Join:
 		return buildJoinLike(ctx, joinSpec{kind: kindJoin, left: n.Left, right: n.Right, on: n.On, residual: n.Residual})
 	case *algebra.SemiJoin:
@@ -348,19 +401,25 @@ func Build(ctx *Context, p algebra.Plan) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &unionIter{ctx: ctx, left: l, right: r}, nil
+		return &unionIter{ctx: ctx, left: cursor{in: l}, right: cursor{in: r}}, nil
+	case *algebra.Product:
+		l, r, err := buildPair(ctx, n.Left, n.Right)
+		if err != nil {
+			return nil, err
+		}
+		return &productIter{ctx: ctx, left: cursor{in: l}, right: r}, nil
 	case *algebra.Diff:
 		l, r, err := buildPair(ctx, n.Left, n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return &diffIter{ctx: ctx, left: l, right: r, keep: false}, nil
+		return &diffIter{ctx: ctx, left: cursor{in: l}, right: r, keep: false}, nil
 	case *algebra.Intersect:
 		l, r, err := buildPair(ctx, n.Left, n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return &diffIter{ctx: ctx, left: l, right: r, keep: true}, nil
+		return &diffIter{ctx: ctx, left: cursor{in: l}, right: r, keep: true}, nil
 	case *algebra.Division:
 		l, r, err := buildPair(ctx, n.Dividend, n.Divisor)
 		if err != nil {
@@ -381,7 +440,7 @@ func Build(ctx *Context, p algebra.Plan) (Iterator, error) {
 		return &materializeIter{ctx: ctx, in: in, schema: n.Schema()}, nil
 	case *algebra.Shared:
 		// The input is built eagerly either way, so catalog errors surface
-		// at build time even when the first Next will hit the memo.
+		// at build time even when the first NextBatch will hit the memo.
 		in, err := Build(ctx, n.Input)
 		if err != nil {
 			return nil, err
@@ -389,69 +448,9 @@ func Build(ctx *Context, p algebra.Plan) (Iterator, error) {
 		if ctx.Memo == nil {
 			return in, nil
 		}
-		return newMemoIter(ctx, in, n), nil
+		return &memoIter{ctx: ctx, in: in, fp: n.FP, key: algebra.Canonical(n.Input)}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", p)
-	}
-}
-
-// joinSpec describes one member of the hash-join family to buildJoinLike.
-type joinSpec struct {
-	kind        joinKind
-	left, right algebra.Plan
-	on          []algebra.ColPair
-	residual    algebra.Pred                  // kindJoin only
-	rightArity  int                           // kindOuterJoin only
-	coj         *algebra.ConstrainedOuterJoin // kindConstrainedOuterJoin only
-}
-
-// buildJoinLike picks the execution strategy for a join-family node, in
-// order of preference: a persistent catalog index (UseIndexes and an
-// indexable right side — no build cost, which §3.2 emptiness tests rely
-// on), the partition-parallel executor (Parallelism ≥ 2), else the serial
-// transient hash table.
-func buildJoinLike(ctx *Context, spec joinSpec) (Iterator, error) {
-	lk, rk := splitPairs(spec.on)
-	if ctx.UseIndexes {
-		if ip := indexProberFor(ctx, spec.right, rk); ip != nil {
-			l, err := Build(ctx, spec.left)
-			if err != nil {
-				return nil, err
-			}
-			return serialJoinIter(ctx, spec, l, &proberSpec{ctx: ctx, cols: rk, index: ip}, lk), nil
-		}
-	}
-	if ctx.parallelism() > 1 {
-		l, r, err := buildPair(ctx, spec.left, spec.right)
-		if err != nil {
-			return nil, err
-		}
-		return &parallelJoinIter{ctx: ctx, spec: spec, left: l, right: r, lk: lk, rk: rk}, nil
-	}
-	l, err := Build(ctx, spec.left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Build(ctx, spec.right)
-	if err != nil {
-		return nil, err
-	}
-	return serialJoinIter(ctx, spec, l, &proberSpec{ctx: ctx, cols: rk, rightIter: r}, lk), nil
-}
-
-// serialJoinIter wires the serial iterator for one join-family member.
-func serialJoinIter(ctx *Context, spec joinSpec, left Iterator, ps *proberSpec, lk []int) Iterator {
-	switch spec.kind {
-	case kindJoin:
-		return &joinIter{ctx: ctx, left: left, spec: ps, lk: lk, residual: spec.residual}
-	case kindSemiJoin:
-		return &semiJoinIter{ctx: ctx, left: left, spec: ps, lk: lk, complement: false}
-	case kindComplementJoin:
-		return &semiJoinIter{ctx: ctx, left: left, spec: ps, lk: lk, complement: true}
-	case kindOuterJoin:
-		return &outerJoinIter{ctx: ctx, left: left, spec: ps, lk: lk, rightArity: spec.rightArity}
-	default:
-		return &cojIter{ctx: ctx, left: left, spec: ps, lk: lk, node: spec.coj}
 	}
 }
 
@@ -467,14 +466,12 @@ func buildPair(ctx *Context, l, r algebra.Plan) (Iterator, Iterator, error) {
 	return li, ri, nil
 }
 
-// Run executes a plan to completion and materializes its result. If the
-// context's attached context.Context fires mid-run, Run returns its error
-// (context.Canceled or context.DeadlineExceeded) instead of a partial
+// Run executes a plan to completion and materializes its result: one
+// cancellation poll and one bulk output charge per full-capacity block. If
+// the context's attached context.Context fires mid-run, Run returns its
+// error (context.Canceled or context.DeadlineExceeded) instead of a partial
 // result.
 func Run(ctx *Context, p algebra.Plan) (*relation.Relation, error) {
-	if ctx.batchEnabled() {
-		return runBatched(ctx, p)
-	}
 	it, err := Build(ctx, p)
 	if err != nil {
 		return nil, err
@@ -483,15 +480,20 @@ func Run(ctx *Context, p algebra.Plan) (*relation.Relation, error) {
 	it.Open()
 	defer it.Close()
 	for {
-		t, ok := it.Next()
-		if !ok || ctx.Interrupted() {
+		b, ok := it.NextBatch(ctx.blockSize())
+		// The poll is weighted by the block just received so output-driven
+		// cancellation latency (e.g. a high-fanout join under a slow sink)
+		// stays bounded in tuples.
+		if !ok || ctx.interruptedN(len(b.Tuples)) {
 			break
 		}
-		if !ctx.chargeTuple("output", t) {
+		if !ctx.chargeBatch("output", b.Tuples) {
 			break
 		}
-		out.Insert(t)
-		ctx.Stats.OutputTuples++
+		for _, t := range b.Tuples {
+			out.Insert(t)
+		}
+		ctx.Stats.OutputTuples += int64(len(b.Tuples))
 	}
 	if err := ctx.CancelErr(); err != nil {
 		return nil, err
@@ -542,9 +544,9 @@ func EvalBool(ctx *Context, p algebra.BoolPlan) (bool, error) {
 	}
 }
 
-// probeNonEmpty opens the plan and asks for a single tuple. It always runs
-// the serial pipeline: the partitioned executor's blocking partition phase
-// would trade the §3.2 near-constant emptiness test for a full drain.
+// probeNonEmpty opens the plan and pulls one block of demand 1. It always
+// runs serially: the partitioned executor's blocking partition phase would
+// trade the §3.2 near-constant emptiness test for a full drain.
 func probeNonEmpty(ctx *Context, p algebra.Plan) (bool, error) {
 	serial := ctx.serialChild()
 	it, err := Build(serial, p)
@@ -553,7 +555,7 @@ func probeNonEmpty(ctx *Context, p algebra.Plan) (bool, error) {
 	}
 	it.Open()
 	defer it.Close()
-	_, ok := it.Next()
+	_, ok := it.NextBatch(1)
 	if err := serial.CancelErr(); err != nil {
 		return false, err
 	}

@@ -250,6 +250,32 @@ func TestDivisionEmptyDivisor(t *testing.T) {
 	wantTuples(t, got, [][]relation.Value{{i64(1)}})
 }
 
+// TestDivisionStatsDeterministic: ÷ sweeps the divisor in arrival order, so
+// a group that misses a divisor tuple stops after the same number of
+// comparisons on every run. (A divisor kept only as a Go map made
+// Stats.Comparisons depend on map iteration order.)
+func TestDivisionStatsDeterministic(t *testing.T) {
+	cat := randomJoinCatalog(7, 400)
+	div := &algebra.Division{
+		Dividend: scan(cat, "S"),
+		Divisor:  &algebra.Project{Input: scan(cat, "S"), Cols: []int{1}},
+		KeyCols:  []int{0},
+		DivCols:  []int{1},
+	}
+	var first Stats
+	for i := 0; i < 20; i++ {
+		_, st := runPlan(t, cat, div)
+		if i == 0 {
+			first = *st
+		} else if *st != first {
+			t.Fatalf("run %d stats differ from run 0:\n%s\n%s", i, st, &first)
+		}
+	}
+	if first.Comparisons == 0 {
+		t.Fatal("division charged no comparisons")
+	}
+}
+
 func TestProjectDedup(t *testing.T) {
 	cat := storage.NewCatalog()
 	r := cat.MustDefine("R", relation.NewSchema("a", "b"))

@@ -125,7 +125,7 @@ func (g *Governor) charge(op string, n, b int64) (evicted int64, err error) {
 }
 
 // ChargeTuples bulk-charges n tuples materialized by op with no byte
-// estimate, in one atomic transaction. It is the batch executor's amortized
+// estimate, in one atomic transaction. It is the executor's amortized
 // entry point — one call per block instead of one per tuple — and keeps the
 // pinned-first *ResourceError semantics: the first violation on any worker
 // is the one every later charge reports. A bulk charge can overshoot the

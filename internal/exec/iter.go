@@ -3,14 +3,163 @@ package exec
 import (
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
+	"repro/internal/planopt"
 	"repro/internal/relation"
 )
 
-// scanIter streams a base relation, charging one base read per tuple.
+// This file holds the operators outside the join family: the streaming ones
+// (scan, select, project, union), which pass their consumer's demand down,
+// and the blocking ones (product, ∖/∩, ÷, group-count, materialize), which
+// drain an input in full-capacity blocks at Open. The join family lives in
+// join.go and parallel.go, the memo spool in memo.go.
+
+// sizeHinter is implemented by iterators that can cheaply bound how many
+// tuples they will produce. Buffers are pre-sized from the hint; it is never
+// relied on for correctness.
+type sizeHinter interface {
+	sizeHint() int
+}
+
+// hintOf returns an upper bound on the iterator's output cardinality in
+// tuples, or -1 when it cannot be bounded without running the plan.
+func hintOf(it Iterator) int {
+	if h, ok := it.(sizeHinter); ok {
+		return h.sizeHint()
+	}
+	return -1
+}
+
+// blockCap bounds a block buffer's initial capacity by the operator's size
+// hint: an operator that promises fewer than max tuples allocates only that
+// many slots, and a hint of 0 allocates no block at all. Hints are
+// per-tuple counts; see planopt.BlocksFor for the per-block rounding used
+// when whole blocks are reserved (the memo spool presize).
+func blockCap(hint, max int) int {
+	if hint >= 0 && hint < max {
+		return hint
+	}
+	return max
+}
+
+// presizeBlocks converts a per-tuple size hint into a whole-block
+// reservation: hints round UP to full blocks (a producer that promises 1500
+// tuples will emit two blocks), except that a hint of 0 reserves nothing.
+func presizeBlocks(hint, bs int) int {
+	if hint < 0 {
+		return 0
+	}
+	return planopt.BlocksFor(hint, bs) * bs
+}
+
+// cursor walks a streaming operator's input tuple by tuple while pulling it
+// block by block, at whatever demand the operator's own consumer stated. A
+// block the operator did not finish (its output filled first) stays pending
+// for the next call, so nothing is read twice or dropped.
+type cursor struct {
+	in      Iterator
+	pending []relation.Tuple
+	pos     int
+}
+
+// next returns the next input tuple, pulling a block of at most max tuples
+// when the pending one is used up.
+func (c *cursor) next(max int) (relation.Tuple, bool) {
+	if c.pos >= len(c.pending) && !c.fill(max) {
+		return nil, false
+	}
+	t := c.pending[c.pos]
+	c.pos++
+	return t, true
+}
+
+func (c *cursor) fill(max int) bool {
+	b, ok := c.in.NextBatch(max)
+	if !ok {
+		return false
+	}
+	c.pending, c.pos = b.Tuples, 0
+	return true
+}
+
+func (c *cursor) open()  { c.in.Open() }
+func (c *cursor) close() { c.in.Close() }
+
+// block is a densifying operator's reusable output buffer: survivors are
+// packed into blocks of the consumer's demand so selective operators do not
+// starve downstream ones with fragments. Input blocks cannot be filtered in
+// place — scans hand out views of the base relation.
+type block struct {
+	out   []relation.Tuple
+	batch Batch
+}
+
+// begin empties the buffer for the next output block. The first call
+// allocates it, bounded by the consumer's demand and by the size hint of in
+// — the input the operator cannot out-produce, nil when there is none — so
+// a demand-1 probe never pays for a full-capacity block.
+func (b *block) begin(in Iterator, max int) {
+	if b.out == nil {
+		b.out = make([]relation.Tuple, 0, blockCap(hintOf(in), max))
+	}
+	b.out = b.out[:0]
+}
+
+func (b *block) push(t relation.Tuple) {
+	//lint:ignore govcharge streaming block bounded by the consumer's demand and reused every NextBatch — not a materialization; operators that retain what they emit charge per block
+	b.out = append(b.out, t)
+}
+
+// yield hands the filled block downstream, or reports exhaustion when the
+// operator produced nothing.
+func (b *block) yield(ctx *Context) (*Batch, bool) {
+	if len(b.out) == 0 {
+		return nil, false
+	}
+	ctx.noteBatch(len(b.out))
+	b.batch.Tuples = b.out
+	return &b.batch, true
+}
+
+// view yields a zero-copy window src[*pos:*pos+max] of an already buffered
+// result and advances pos.
+func (b *block) view(ctx *Context, src []relation.Tuple, pos *int, max int) (*Batch, bool) {
+	if *pos >= len(src) {
+		return nil, false
+	}
+	end := *pos + max
+	if end > len(src) {
+		end = len(src)
+	}
+	b.batch.Tuples = src[*pos:end:end]
+	*pos = end
+	ctx.noteBatch(len(b.batch.Tuples))
+	return &b.batch, true
+}
+
+// drain opens a blocking operator's input and consumes it to exhaustion in
+// full-capacity blocks — whatever demand the operator itself is under —
+// charging each block to op before handing it to sink. A failed charge
+// stops the drain; the budget violation is already the context's abort
+// cause.
+func (c *Context) drain(in Iterator, op string, sink func([]relation.Tuple)) {
+	in.Open()
+	for {
+		b, ok := in.NextBatch(c.blockSize())
+		if !ok || !c.chargeBatch(op, b.Tuples) {
+			return
+		}
+		sink(b.Tuples)
+	}
+}
+
+// scanIter streams a base relation in zero-copy blocks: each block is a view
+// of the relation's backing slice, so a scan allocates nothing per block.
+// One fault hook and one cancellation poll per block.
 type scanIter struct {
 	ctx *Context
 	rel *relation.Relation
 	pos int
+	blk block
 }
 
 func (it *scanIter) Open() {
@@ -18,17 +167,21 @@ func (it *scanIter) Open() {
 	it.ctx.fireFault(faultinject.PointIterOpen)
 }
 
-func (it *scanIter) Next() (relation.Tuple, bool) {
+func (it *scanIter) NextBatch(max int) (*Batch, bool) {
 	it.ctx.fireFault(faultinject.PointIterNext)
-	// Scans feed every pipeline leaf, so one check here bounds how long any
-	// streaming plan can outlive its context's cancellation.
-	if it.pos >= it.rel.Len() || it.ctx.Interrupted() {
+	n := it.rel.Len() - it.pos
+	if n > max {
+		n = max
+	}
+	// Weight the poll by the block about to be read, BEFORE reading it, so
+	// "fewer than CheckInterval tuples read past cancellation" holds at the
+	// source. Scans feed every pipeline leaf, so this one check bounds how
+	// long any streaming plan can outlive its context's cancellation.
+	if n <= 0 || it.ctx.interruptedN(n) {
 		return nil, false
 	}
-	t := it.rel.At(it.pos)
-	it.pos++
-	it.ctx.Stats.BaseTuplesRead++
-	return t, true
+	it.ctx.Stats.BaseTuplesRead += int64(n)
+	return it.blk.view(it.ctx, it.rel.Tuples(), &it.pos, n)
 }
 
 func (it *scanIter) Close() {}
@@ -38,436 +191,218 @@ func (it *scanIter) sizeHint() int { return it.rel.Len() }
 // selectIter filters by a predicate, charging its comparisons.
 type selectIter struct {
 	ctx  *Context
-	in   Iterator
+	in   cursor
 	pred algebra.Pred
+	blk  block
 }
 
-func (it *selectIter) Open() { it.in.Open() }
+func (it *selectIter) Open() { it.in.open() }
 
-func (it *selectIter) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := it.in.Next()
+func (it *selectIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(it.in.in, max)
+	for len(it.blk.out) < max {
+		t, ok := it.in.next(max)
 		if !ok {
-			return nil, false
+			break
 		}
 		keep, c := it.pred.Eval(t)
 		it.ctx.Stats.Comparisons += int64(c)
 		if keep {
-			return t, true
+			it.blk.push(t)
 		}
 	}
+	return it.blk.yield(it.ctx)
 }
 
-func (it *selectIter) Close() { it.in.Close() }
+func (it *selectIter) Close() { it.in.close() }
 
 // A selection never produces more than its input.
-func (it *selectIter) sizeHint() int { return hintOf(it.in) }
+func (it *selectIter) sizeHint() int { return hintOf(it.in.in) }
 
-// projectIter projects columns, deduplicating unless the planner proved the
-// projection duplicate-free.
+// projectIter projects columns, deduplicating through a 64-bit-hash tupleSet
+// unless the planner proved the projection duplicate-free (seen == nil).
+// Retained tuples are charged once per output block.
 type projectIter struct {
 	ctx  *Context
-	in   Iterator
+	in   cursor
 	cols []int
 	seen *tupleSet
+	blk  block
 }
 
-func newProjectIter(ctx *Context, in Iterator, cols []int, dedup bool) *projectIter {
-	it := &projectIter{ctx: ctx, in: in, cols: cols}
-	if dedup {
-		it.seen = newTupleSet()
-	}
-	return it
-}
+func (it *projectIter) Open() { it.in.open() }
 
-func (it *projectIter) Open() { it.in.Open() }
-
-func (it *projectIter) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := it.in.Next()
+func (it *projectIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(it.in.in, max)
+	for len(it.blk.out) < max {
+		t, ok := it.in.next(max)
 		if !ok {
-			return nil, false
+			break
 		}
-		out := t.Project(it.cols)
-		if it.seen == nil {
-			return out, true
+		t = t.Project(it.cols)
+		if it.seen == nil || it.seen.add(t) {
+			it.blk.push(t)
 		}
-		if !it.seen.add(out) {
-			continue
-		}
-		if !it.ctx.chargeTuple("project-dedup", out) {
-			return nil, false
-		}
-		it.ctx.Stats.HashInserts++
-		return out, true
 	}
+	if it.seen != nil {
+		if !it.ctx.chargeBatch("project-dedup", it.blk.out) {
+			return nil, false
+		}
+		it.ctx.Stats.HashInserts += int64(len(it.blk.out))
+	}
+	return it.blk.yield(it.ctx)
 }
 
-func (it *projectIter) Close() { it.in.Close() }
+func (it *projectIter) Close() { it.in.close() }
 
 // A projection (deduplicating or not) never produces more than its input.
-func (it *projectIter) sizeHint() int { return hintOf(it.in) }
-
-// productIter is the cartesian product; the right input is buffered at Open.
-type productIter struct {
-	ctx         *Context
-	left, right Iterator
-	rightBuf    []relation.Tuple
-	cur         relation.Tuple
-	curOK       bool
-	ri          int
-}
-
-func (it *productIter) Open() {
-	it.left.Open()
-	it.right.Open()
-	for {
-		t, ok := it.right.Next()
-		if !ok || !it.ctx.chargeTuple("product", t) {
-			break
-		}
-		it.rightBuf = append(it.rightBuf, t)
-		it.ctx.Stats.IntermediateTuples++
-	}
-	it.curOK = false
-	it.ri = 0
-}
-
-func (it *productIter) Next() (relation.Tuple, bool) {
-	for {
-		if !it.curOK {
-			t, ok := it.left.Next()
-			if !ok {
-				return nil, false
-			}
-			it.cur, it.curOK, it.ri = t, true, 0
-		}
-		if it.ri >= len(it.rightBuf) {
-			it.curOK = false
-			continue
-		}
-		r := it.rightBuf[it.ri]
-		it.ri++
-		return it.cur.Concat(r), true
-	}
-}
-
-func (it *productIter) Close() { it.left.Close(); it.right.Close() }
-
-// hashBuild drains an iterator into a key->tuples table, charging inserts
-// and intermediate buffering. keyCols selects the key projection.
-type hashTable struct {
-	buckets map[string][]relation.Tuple
-}
-
-func buildHash(ctx *Context, in Iterator, keyCols []int) *hashTable {
-	h := &hashTable{buckets: make(map[string][]relation.Tuple)}
-	in.Open()
-	for {
-		t, ok := in.Next()
-		if !ok || !ctx.chargeTuple("join-build", t) {
-			break
-		}
-		k := t.Project(keyCols).Key()
-		h.buckets[k] = append(h.buckets[k], t)
-		ctx.Stats.HashInserts++
-		ctx.Stats.IntermediateTuples++
-	}
-	return h
-}
-
-// probe returns the matching tuples for a left tuple, charging one
-// comparison for the lookup.
-func (h *hashTable) probe(ctx *Context, t relation.Tuple, keyCols []int) []relation.Tuple {
-	ctx.Stats.Comparisons++
-	return h.buckets[t.Project(keyCols).Key()]
-}
-
-func splitPairs(on []algebra.ColPair) (left, right []int) {
-	left = make([]int, len(on))
-	right = make([]int, len(on))
-	for i, p := range on {
-		left[i] = p.Left
-		right[i] = p.Right
-	}
-	return left, right
-}
-
-// joinIter is an equi-join (probe right per left tuple) with an optional
-// residual predicate over the concatenated tuple. The probing side is
-// either a transient hash table or a persistent catalog index (see
-// proberSpec).
-type joinIter struct {
-	ctx      *Context
-	left     Iterator
-	spec     *proberSpec
-	lk       []int
-	residual algebra.Pred
-
-	table    prober
-	cur      relation.Tuple
-	matches  []relation.Tuple
-	matchPos int
-}
-
-func (it *joinIter) Open() {
-	it.table = it.spec.open()
-	it.left.Open()
-}
-
-func (it *joinIter) Next() (relation.Tuple, bool) {
-	for {
-		for it.matchPos < len(it.matches) {
-			r := it.matches[it.matchPos]
-			it.matchPos++
-			out := it.cur.Concat(r)
-			if it.residual != nil {
-				ok, c := it.residual.Eval(out)
-				it.ctx.Stats.Comparisons += int64(c)
-				if !ok {
-					continue
-				}
-			}
-			return out, true
-		}
-		t, ok := it.left.Next()
-		if !ok {
-			return nil, false
-		}
-		it.cur = t
-		it.matches = it.table.probe(it.ctx, t, it.lk)
-		it.matchPos = 0
-	}
-}
-
-func (it *joinIter) Close() { it.left.Close(); it.spec.close() }
-
-// semiJoinIter implements both the semi-join (complement=false) and the
-// paper's complement-join (complement=true, Definition 6): it keeps the
-// left tuples that do (do not) have a join partner. Implemented, as the
-// paper suggests, "by modifying any semi-join algorithm".
-type semiJoinIter struct {
-	ctx        *Context
-	left       Iterator
-	spec       *proberSpec
-	lk         []int
-	complement bool
-
-	table prober
-}
-
-func (it *semiJoinIter) Open() {
-	it.table = it.spec.open()
-	it.left.Open()
-}
-
-func (it *semiJoinIter) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := it.left.Next()
-		if !ok {
-			return nil, false
-		}
-		matched := len(it.table.probe(it.ctx, t, it.lk)) > 0
-		if matched != it.complement {
-			return t, true
-		}
-	}
-}
-
-func (it *semiJoinIter) Close() { it.left.Close(); it.spec.close() }
-
-// outerJoinIter is the unidirectional outer-join of [LP 76]: every left
-// tuple survives, padded with ∅ in the right columns when unmatched.
-type outerJoinIter struct {
-	ctx        *Context
-	left       Iterator
-	spec       *proberSpec
-	lk         []int
-	rightArity int
-
-	table    prober
-	cur      relation.Tuple
-	matches  []relation.Tuple
-	matchPos int
-	nulls    relation.Tuple
-}
-
-func (it *outerJoinIter) Open() {
-	it.table = it.spec.open()
-	it.left.Open()
-	it.nulls = make(relation.Tuple, it.rightArity)
-	for i := range it.nulls {
-		it.nulls[i] = relation.Null()
-	}
-}
-
-func (it *outerJoinIter) Next() (relation.Tuple, bool) {
-	for {
-		if it.matchPos < len(it.matches) {
-			r := it.matches[it.matchPos]
-			it.matchPos++
-			return it.cur.Concat(r), true
-		}
-		t, ok := it.left.Next()
-		if !ok {
-			return nil, false
-		}
-		it.cur = t
-		it.matches = it.table.probe(it.ctx, t, it.lk)
-		it.matchPos = 0
-		if len(it.matches) == 0 {
-			return t.Concat(it.nulls), true
-		}
-	}
-}
-
-func (it *outerJoinIter) Close() { it.left.Close(); it.spec.close() }
-
-// cojIter implements the constrained outer-join (Definition 7). Left tuples
-// failing the 'const' gate are NOT probed against the right input; the flag
-// column records ⊥ (probed, matched) or ∅ (unmatched or not probed).
-type cojIter struct {
-	ctx  *Context
-	left Iterator
-	spec *proberSpec
-	node *algebra.ConstrainedOuterJoin
-	lk   []int
-
-	table prober
-}
-
-func (it *cojIter) Open() {
-	it.table = it.spec.open()
-	it.left.Open()
-}
-
-func (it *cojIter) Next() (relation.Tuple, bool) {
-	t, ok := it.left.Next()
-	if !ok {
-		return nil, false
-	}
-	// Checking the 'const' gate examines flag columns the tuple already
-	// carries — no data access, so no comparison is charged; the point of
-	// the gate is precisely to avoid the (charged) probe below.
-	if !it.node.ConstraintHolds(t) {
-		return t.Append(relation.Null()), true
-	}
-	if len(it.table.probe(it.ctx, t, it.lk)) > 0 {
-		return t.Append(relation.Mark()), true
-	}
-	return t.Append(relation.Null()), true
-}
-
-func (it *cojIter) Close() { it.left.Close(); it.spec.close() }
+func (it *projectIter) sizeHint() int { return hintOf(it.in.in) }
 
 // unionIter streams left then right, deduplicating across both. The dedup
 // buffer is charged as intermediate storage: a union result is held in full,
 // which is precisely the cost the constrained outer-join strategy avoids.
 type unionIter struct {
 	ctx         *Context
-	left, right Iterator
+	left, right cursor
 	seen        *tupleSet
 	onRight     bool
+	blk         block
 }
 
 func (it *unionIter) Open() {
-	it.left.Open()
-	it.right.Open()
+	it.left.open()
+	it.right.open()
 	it.seen = newTupleSet()
 	it.onRight = false
 }
 
-func (it *unionIter) Next() (relation.Tuple, bool) {
-	for {
-		var t relation.Tuple
-		var ok bool
-		if !it.onRight {
-			t, ok = it.left.Next()
-			if !ok {
-				it.onRight = true
-				continue
-			}
-		} else {
-			t, ok = it.right.Next()
-			if !ok {
-				return nil, false
-			}
+func (it *unionIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(it, max)
+	for len(it.blk.out) < max {
+		side := &it.left
+		if it.onRight {
+			side = &it.right
 		}
-		if !it.seen.add(t) {
+		t, ok := side.next(max)
+		if !ok {
+			if it.onRight {
+				break
+			}
+			it.onRight = true
 			continue
 		}
-		if !it.ctx.chargeTuple("union", t) {
-			return nil, false
+		if it.seen.add(t) {
+			it.blk.push(t)
 		}
-		it.ctx.Stats.HashInserts++
-		it.ctx.Stats.IntermediateTuples++
-		return t, true
 	}
+	if !it.ctx.chargeBatch("union", it.blk.out) {
+		return nil, false
+	}
+	it.ctx.Stats.HashInserts += int64(len(it.blk.out))
+	it.ctx.Stats.IntermediateTuples += int64(len(it.blk.out))
+	return it.blk.yield(it.ctx)
 }
 
-func (it *unionIter) Close() { it.left.Close(); it.right.Close() }
+func (it *unionIter) Close() { it.left.close(); it.right.close() }
 
 // A union never produces more than its inputs combined; the hint survives
 // only when both sides can bound themselves.
 func (it *unionIter) sizeHint() int {
-	l, r := hintOf(it.left), hintOf(it.right)
+	l, r := hintOf(it.left.in), hintOf(it.right.in)
 	if l < 0 || r < 0 {
 		return -1
 	}
 	return l + r
 }
 
+// productIter is the cartesian product; the right input is buffered at Open.
+type productIter struct {
+	ctx      *Context
+	left     cursor
+	right    Iterator
+	rightBuf []relation.Tuple
+	cur      relation.Tuple // left tuple being paired with rightBuf[ri:]
+	curOK    bool
+	ri       int
+	blk      block
+}
+
+func (it *productIter) Open() {
+	it.left.open()
+	it.ctx.drain(it.right, "product", func(ts []relation.Tuple) {
+		it.rightBuf = append(it.rightBuf, ts...)
+		it.ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
+}
+
+func (it *productIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(nil, max)
+	for len(it.blk.out) < max {
+		if !it.curOK || it.ri >= len(it.rightBuf) {
+			if it.cur, it.curOK = it.left.next(max); !it.curOK {
+				break
+			}
+			it.ri = 0
+			continue
+		}
+		it.blk.push(it.cur.Concat(it.rightBuf[it.ri]))
+		it.ri++
+	}
+	return it.blk.yield(it.ctx)
+}
+
+func (it *productIter) Close() { it.left.close(); it.right.Close() }
+
 // diffIter implements set difference (keep=false) and intersection
 // (keep=true) by materializing the right side's keys and streaming the left.
 type diffIter struct {
-	ctx         *Context
-	left, right Iterator
-	keep        bool
-	rightKeys   *tupleSet
-	emitted     *tupleSet
+	ctx       *Context
+	left      cursor
+	right     Iterator
+	keep      bool
+	rightKeys *tupleSet
+	emitted   *tupleSet
+	blk       block
 }
 
 func (it *diffIter) Open() {
-	it.right.Open()
 	it.rightKeys = newTupleSet()
-	for {
-		t, ok := it.right.Next()
-		if !ok || !it.ctx.chargeTuple("difference", t) {
-			break
+	it.ctx.drain(it.right, "difference", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			it.rightKeys.add(t)
 		}
-		it.rightKeys.add(t)
-		it.ctx.Stats.HashInserts++
-		it.ctx.Stats.IntermediateTuples++
-	}
-	it.left.Open()
+		it.ctx.Stats.HashInserts += int64(len(ts))
+		it.ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
+	it.left.open()
 	it.emitted = newTupleSet()
 }
 
-func (it *diffIter) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := it.left.Next()
+func (it *diffIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(it.left.in, max)
+	for len(it.blk.out) < max {
+		t, ok := it.left.next(max)
 		if !ok {
-			return nil, false
+			break
 		}
 		it.ctx.Stats.Comparisons++
-		if it.rightKeys.has(t) != it.keep {
-			continue
+		if it.rightKeys.has(t) == it.keep && it.emitted.add(t) {
+			it.blk.push(t)
 		}
-		if !it.emitted.add(t) {
-			continue
-		}
-		if !it.ctx.chargeTuple("difference", t) {
-			return nil, false
-		}
-		return t, true
 	}
+	if !it.ctx.chargeBatch("difference", it.blk.out) {
+		return nil, false
+	}
+	return it.blk.yield(it.ctx)
 }
 
-func (it *diffIter) Close() { it.left.Close(); it.right.Close() }
+func (it *diffIter) Close() { it.left.close(); it.right.Close() }
 
 // divisionIter implements the generalized division of the paper's Prop. 4
-// case 5. Both inputs are blocking: the divisor's key set and the dividend's
-// key groups are built at Open.
+// case 5. Both inputs are blocking: the divisor's key list and the
+// dividend's key groups are built at Open. The divisor's distinct keys are
+// kept in arrival order and swept in that order, so the comparison count of
+// a group that misses a divisor tuple is the same on every run.
 type divisionIter struct {
 	ctx      *Context
 	dividend Iterator
@@ -475,58 +410,57 @@ type divisionIter struct {
 	keyCols  []int
 	divCols  []int
 
-	order  []string
+	divs   []string // distinct divisor keys, arrival order
+	order  []string // dividend group keys, arrival order
 	reps   map[string]relation.Tuple
 	groups map[string]map[string]struct{}
-	divset map[string]struct{}
 	pos    int
+	blk    block
 }
 
 func (it *divisionIter) Open() {
-	it.divisor.Open()
-	it.divset = make(map[string]struct{})
-	for {
-		t, ok := it.divisor.Next()
-		if !ok || !it.ctx.chargeTuple("division", t) {
-			break
+	seen := make(map[string]struct{})
+	it.ctx.drain(it.divisor, "division", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			k := t.Key()
+			if _, dup := seen[k]; !dup {
+				seen[k] = struct{}{}
+				it.divs = append(it.divs, k)
+			}
 		}
-		it.divset[t.Key()] = struct{}{}
-		it.ctx.Stats.HashInserts++
-		it.ctx.Stats.IntermediateTuples++
-	}
-	it.dividend.Open()
+		it.ctx.Stats.HashInserts += int64(len(ts))
+		it.ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
 	it.reps = make(map[string]relation.Tuple)
 	it.groups = make(map[string]map[string]struct{})
-	for {
-		t, ok := it.dividend.Next()
-		if !ok || !it.ctx.chargeTuple("division", t) {
-			break
+	it.ctx.drain(it.dividend, "division", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			key := t.Project(it.keyCols)
+			kk := key.Key()
+			g, seen := it.groups[kk]
+			if !seen {
+				g = make(map[string]struct{})
+				it.groups[kk] = g
+				it.reps[kk] = key
+				it.order = append(it.order, kk)
+			}
+			g[t.Project(it.divCols).Key()] = struct{}{}
 		}
-		key := t.Project(it.keyCols)
-		kk := key.Key()
-		g, seen := it.groups[kk]
-		if !seen {
-			g = make(map[string]struct{})
-			it.groups[kk] = g
-			it.reps[kk] = key
-			it.order = append(it.order, kk)
-		}
-		g[t.Project(it.divCols).Key()] = struct{}{}
-		it.ctx.Stats.HashInserts++
-		it.ctx.Stats.IntermediateTuples++
-	}
-	it.pos = 0
+		it.ctx.Stats.HashInserts += int64(len(ts))
+		it.ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
 }
 
-func (it *divisionIter) Next() (relation.Tuple, bool) {
-	// The group×divisor sweep below runs on buffered data, out of reach of
-	// the scan-level check, so it polls for cancellation itself.
-	for it.pos < len(it.order) && !it.ctx.Interrupted() {
+func (it *divisionIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(nil, max)
+	// The group×divisor sweep runs on buffered data, out of reach of the
+	// scan-level check, so it polls for cancellation itself.
+	for len(it.blk.out) < max && it.pos < len(it.order) && !it.ctx.Interrupted() {
 		kk := it.order[it.pos]
 		it.pos++
 		g := it.groups[kk]
 		all := true
-		for d := range it.divset {
+		for _, d := range it.divs {
 			it.ctx.Stats.Comparisons++
 			if _, ok := g[d]; !ok {
 				all = false
@@ -534,10 +468,10 @@ func (it *divisionIter) Next() (relation.Tuple, bool) {
 			}
 		}
 		if all {
-			return it.reps[kk], true
+			it.blk.push(it.reps[kk])
 		}
 	}
-	return nil, false
+	return it.blk.yield(it.ctx)
 }
 
 func (it *divisionIter) Close() { it.dividend.Close(); it.divisor.Close() }
@@ -557,50 +491,46 @@ type groupCountIter struct {
 	reps   map[string]relation.Tuple
 	counts map[string]int64
 	pos    int
+	blk    block
 }
 
 func (it *groupCountIter) Open() {
-	it.in.Open()
 	it.reps = make(map[string]relation.Tuple)
 	it.counts = make(map[string]int64)
-	it.order = nil
-	for {
-		t, ok := it.in.Next()
-		if !ok || !it.ctx.chargeTuple("group-count", t) {
-			break
+	it.ctx.drain(it.in, "group-count", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			key := t.Project(it.groupCols)
+			kk := key.Key()
+			if _, seen := it.counts[kk]; !seen {
+				it.reps[kk] = key
+				it.order = append(it.order, kk)
+			}
+			it.counts[kk]++
 		}
-		key := t.Project(it.groupCols)
-		kk := key.Key()
-		if _, seen := it.counts[kk]; !seen {
-			it.reps[kk] = key
-			it.order = append(it.order, kk)
-		}
-		it.counts[kk]++
-		it.ctx.Stats.HashInserts++
-		it.ctx.Stats.IntermediateTuples++
-	}
+		it.ctx.Stats.HashInserts += int64(len(ts))
+		it.ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
 	// With no group columns the count of an empty input is still a row.
 	if len(it.groupCols) == 0 && len(it.order) == 0 {
 		it.reps[""] = relation.Tuple{}
 		it.counts[""] = 0
 		it.order = append(it.order, "")
 	}
-	it.pos = 0
 }
 
-func (it *groupCountIter) Next() (relation.Tuple, bool) {
-	if it.pos >= len(it.order) {
-		return nil, false
+func (it *groupCountIter) NextBatch(max int) (*Batch, bool) {
+	it.blk.begin(nil, max)
+	for ; len(it.blk.out) < max && it.pos < len(it.order); it.pos++ {
+		kk := it.order[it.pos]
+		it.blk.push(it.reps[kk].Append(relation.Int(it.counts[kk])))
 	}
-	kk := it.order[it.pos]
-	it.pos++
-	return it.reps[kk].Append(relation.Int(it.counts[kk])), true
+	return it.blk.yield(it.ctx)
 }
 
 func (it *groupCountIter) Close() { it.in.Close() }
 
 // materializeIter drains its child into a temporary relation at Open and
-// then streams the buffered tuples. It models the conventional strategy of
+// then streams zero-copy views of it. It models the conventional strategy of
 // storing intermediate results, and is charged as such.
 type materializeIter struct {
 	ctx    *Context
@@ -608,31 +538,23 @@ type materializeIter struct {
 	schema relation.Schema
 	buf    *relation.Relation
 	pos    int
+	blk    block
 }
 
 func (it *materializeIter) Open() {
-	it.in.Open()
 	it.buf = relation.NewUnnamed(it.schema)
-	for {
-		t, ok := it.in.Next()
-		if !ok || !it.ctx.chargeTuple("materialize", t) {
-			break
+	it.ctx.drain(it.in, "materialize", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			if it.buf.Insert(t) {
+				it.ctx.Stats.IntermediateTuples++
+			}
 		}
-		if it.buf.Insert(t) {
-			it.ctx.Stats.IntermediateTuples++
-		}
-	}
+	})
 	it.ctx.Stats.Materializations++
-	it.pos = 0
 }
 
-func (it *materializeIter) Next() (relation.Tuple, bool) {
-	if it.pos >= it.buf.Len() {
-		return nil, false
-	}
-	t := it.buf.At(it.pos)
-	it.pos++
-	return t, true
+func (it *materializeIter) NextBatch(max int) (*Batch, bool) {
+	return it.blk.view(it.ctx, it.buf.Tuples(), &it.pos, max)
 }
 
 func (it *materializeIter) Close() { it.in.Close() }

@@ -44,7 +44,7 @@ func drainIter(b *testing.B, cat *storage.Catalog, p algebra.Plan) {
 		}
 		it.Open()
 		rows := 0
-		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		for _, ok := it.NextBatch(1); ok; _, ok = it.NextBatch(1) {
 			rows++
 		}
 		it.Close()

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/faultinject"
 	"repro/internal/relation"
 )
@@ -79,11 +78,11 @@ const (
 	roleProduce
 )
 
-// consumeStatus reports the outcome of one consumeWait call.
+// consumeStatus reports the outcome of one consumeWaitBlock call.
 type consumeStatus uint8
 
 const (
-	consumeTuple     consumeStatus = iota // a tuple was streamed
+	consumeTuple     consumeStatus = iota // at least one tuple was streamed
 	consumeEOF                            // entry complete and fully consumed
 	consumeAbandoned                      // producer died: re-acquire (re-election)
 	consumeOverflow                       // result outgrew the budget: go private
@@ -257,34 +256,14 @@ func (m *Memo) acquire(gen int64, fp uint64, key string, execID uint64) (*memoEn
 	return e, roleProduce
 }
 
-// appendSpool adds one tuple the producer just yielded to its building
-// entry and wakes any consumer that caught up. It reports false when the
-// spool can no longer be published — the entry outgrew the memo budget
-// (which abandons it as overflow) or a generation flush abandoned it — in
-// which case the producer keeps streaming privately.
-func (m *Memo) appendSpool(e *memoEntry, t relation.Tuple) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e.state != spoolBuilding {
-		return false
-	}
-	if len(e.tuples)+1 > m.budget {
-		m.abandonLocked(e, true)
-		return false
-	}
-	//lint:ignore govcharge the producer charges memo-spool via chargeTuple before calling appendSpool
-	e.tuples = append(e.tuples, t)
-	m.tuples++
-	m.wakeLocked(e)
-	return true
-}
-
-// appendSpoolBlock is appendSpool for a block of tuples the producer just
-// yielded. On budget overflow it appends the prefix that still fits before
-// abandoning the entry as overflow — exact CacheTuplesSpooled parity with
-// the one-at-a-time path, which fills the entry to the budget boundary and
-// abandons on the first tuple past it. Returns how many tuples were
-// appended and whether the spool is still publishable.
+// appendSpoolBlock adds a block the producer just yielded to its building
+// entry and wakes any consumer that caught up. On budget overflow it appends
+// the prefix that still fits before abandoning the entry as overflow, so
+// CacheTuplesSpooled does not depend on the demand the producer runs under:
+// the entry fills to the budget boundary and is abandoned on the first tuple
+// past it. A generation flush may also have abandoned the entry. Returns how
+// many tuples were appended and whether the spool is still publishable; when
+// it is not, the producer keeps streaming privately.
 func (m *Memo) appendSpoolBlock(e *memoEntry, ts []relation.Tuple) (appended int, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -383,55 +362,11 @@ func (m *Memo) evictLocked(victim *memoEntry) {
 	m.tuples -= len(victim.tuples)
 }
 
-// consumeWait streams the tuple at position pos out of e, blocking while
-// the producer has not appended it yet. done is the consumer's own
-// cancellation channel (nil = uncancellable). blocked reports whether the
-// call had to wait at least once (the single-flight wait counter).
-func (m *Memo) consumeWait(e *memoEntry, pos int, done <-chan struct{}) (t relation.Tuple, st consumeStatus, blocked bool) {
-	m.mu.Lock()
-	for {
-		if pos < len(e.tuples) {
-			t = e.tuples[pos]
-			m.mu.Unlock()
-			return t, consumeTuple, blocked
-		}
-		switch e.state {
-		case spoolComplete:
-			m.mu.Unlock()
-			return nil, consumeEOF, blocked
-		case spoolAbandoned:
-			overflow := e.overflow
-			m.mu.Unlock()
-			if overflow {
-				return nil, consumeOverflow, blocked
-			}
-			return nil, consumeAbandoned, blocked
-		}
-		// Caught up with the producer: wait for the next append or state
-		// change. The waiter count is adjusted under the mutex, so a wake
-		// between unlock and the select is never lost (the channel we hold
-		// is the one the producer will close).
-		e.waiters++
-		ch := e.updated
-		m.mu.Unlock()
-		blocked = true
-		select {
-		case <-ch:
-		case <-done:
-			m.mu.Lock()
-			e.waiters--
-			m.mu.Unlock()
-			return nil, consumeCancelled, blocked
-		}
-		//lint:ignore lockdiscipline re-acquire at loop bottom; control jumps back to the loop head where every exit path unlocks
-		m.mu.Lock()
-		e.waiters--
-	}
-}
-
-// consumeWaitBlock is consumeWait for the batch executor: it returns up to
-// max tuples starting at pos in one call, blocking only while the producer
-// has not appended tuple pos yet. The returned slice is a view of the spool
+// consumeWaitBlock streams up to max tuples starting at pos out of e,
+// blocking only while the producer has not appended tuple pos yet. done is
+// the consumer's own cancellation channel (nil = uncancellable). blocked
+// reports whether the call had to wait at least once (the single-flight
+// wait counter). The returned slice is a view of the spool
 // taken under the mutex; the spool prefix below the published length is
 // immutable (producers only append, and appends past a reallocation leave
 // the old backing array intact), so reading it after unlock is safe — the
@@ -461,7 +396,9 @@ func (m *Memo) consumeWaitBlock(e *memoEntry, pos, max int, done <-chan struct{}
 			return nil, consumeAbandoned, blocked
 		}
 		// Caught up with the producer: wait for the next append or state
-		// change (see consumeWait for the lost-wake argument).
+		// change. The waiter count is adjusted under the mutex, so a wake
+		// between unlock and the select is never lost (the channel we hold
+		// is the one the producer will close).
 		e.waiters++
 		ch := e.updated
 		m.mu.Unlock()
@@ -575,8 +512,8 @@ func (m *Memo) entryLen(gen int64, fp uint64, key string) int {
 	return -1
 }
 
-// memoMode is the execution mode a memoIter settles into at its first Next
-// (and may move between when a producer dies or a spool overflows).
+// memoMode is the execution mode a memoIter settles into at its first
+// NextBatch (and may move between when a producer dies or a spool overflows).
 type memoMode uint8
 
 const (
@@ -589,10 +526,16 @@ const (
 
 // memoIter executes an algebra.Shared node against the context memo. It is
 // deliberately lazy: the memo acquire and the input Open both happen at the
-// first Next, not at Open — all iterators of a plan Open before any drains,
-// so an eager acquire would elect producers for results a sibling branch is
-// about to publish, and an eager input Open would run blocking hash builds
-// that a replay makes unnecessary.
+// first NextBatch, not at Open — all iterators of a plan Open before any
+// drains, so an eager acquire would elect producers for results a sibling
+// branch is about to publish, and an eager input Open would run blocking
+// hash builds that a replay makes unnecessary. It spools, replays and
+// consumes blocks of its consumer's demand: the producer appends one block
+// per entry-lock acquisition (appendSpoolBlock) and consumers drain as many
+// published tuples as fit the demand per wait (consumeWaitBlock). With a
+// parallelJoinIter input, the elected producer streams partition outputs
+// into the shared spool as each partition worker finishes — the partition
+// workers fill the spool in parallel, in deterministic partition-index order.
 type memoIter struct {
 	ctx *Context
 	in  Iterator
@@ -609,10 +552,7 @@ type memoIter struct {
 	pos      int
 	skip     int
 	inOpened bool
-}
-
-func newMemoIter(ctx *Context, in Iterator, n *algebra.Shared) *memoIter {
-	return &memoIter{ctx: ctx, in: in, fp: n.FP, key: algebra.Canonical(n.Input)}
+	batch    Batch
 }
 
 func (it *memoIter) Open() {
@@ -624,7 +564,7 @@ func (it *memoIter) Open() {
 	it.inOpened = false
 }
 
-func (it *memoIter) Next() (relation.Tuple, bool) {
+func (it *memoIter) NextBatch(max int) (*Batch, bool) {
 	// A panic below — the subtree's iterators, an injected fault at
 	// memo.elect/memo.append — must not strand consumers on a building
 	// entry: abandon first, then let the panic continue to the isolation
@@ -635,12 +575,12 @@ func (it *memoIter) Next() (relation.Tuple, bool) {
 			panic(r)
 		}
 	}()
-	if it.ctx.Interrupted() {
+	if it.ctx.interruptedN(max) {
 		it.abandonProduce()
 		return nil, false
 	}
 	if it.mode == modeUnstarted {
-		it.start()
+		it.start(max)
 	}
 	for {
 		switch it.mode {
@@ -648,18 +588,19 @@ func (it *memoIter) Next() (relation.Tuple, bool) {
 			if it.pos >= len(it.repl) {
 				return nil, false
 			}
-			t := it.repl[it.pos]
-			it.pos++
-			it.ctx.Stats.CacheTuplesReplayed++
-			return t, true
+			end := it.pos + max
+			if end > len(it.repl) {
+				end = len(it.repl)
+			}
+			return it.redeliver(it.repl[it.pos:end:end])
 		case modeProduce:
-			return it.produceNext()
+			return it.produceNextBatch(max)
 		case modePrivate:
-			return it.privateNext()
+			return it.privateNextBatch(max)
 		default: // modeConsume
-			t, ok, resolved := it.consumeNext()
+			b, ok, resolved := it.consumeNextBatch(max)
 			if resolved {
-				return t, ok
+				return b, ok
 			}
 			// Producer died or the entry state changed: mode was switched;
 			// loop and continue under the new mode.
@@ -667,8 +608,12 @@ func (it *memoIter) Next() (relation.Tuple, bool) {
 	}
 }
 
-// start resolves the memo at the first Next.
-func (it *memoIter) start() {
+// start resolves the memo at the first NextBatch. An elected producer whose
+// consumer asks for more than one tuple pre-sizes the fresh spool from the
+// input's size hint, rounded up to whole blocks (a hint of 0 reserves
+// nothing); a demand-1 consumer — an emptiness probe — has said it may stop
+// after any tuple, so nothing is reserved for it.
+func (it *memoIter) start(max int) {
 	it.gen = it.ctx.Catalog.Generation()
 	if it.ctx.Memo == nil {
 		it.mode = modePrivate
@@ -688,6 +633,9 @@ func (it *memoIter) start() {
 		it.ctx.Stats.CacheMisses++
 		it.entry = e
 		it.mode = modeProduce
+		if max > 1 {
+			it.ctx.Memo.presizeSpool(e, presizeBlocks(hintOf(it.in), max))
+		}
 		// The election fault point: an injected error here cancels the
 		// context (the producer abandons on its next step and waiters
 		// re-elect); an injected panic unwinds through the abandon guard.
@@ -698,10 +646,11 @@ func (it *memoIter) start() {
 	}
 }
 
-// produceNext advances the producer: pull one input tuple, append it to the
-// spool, yield it. A complete drain publishes; any abort abandons.
-func (it *memoIter) produceNext() (relation.Tuple, bool) {
-	if it.ctx.Interrupted() {
+// produceNextBatch advances the producer by one input block: charge it,
+// append it to the spool, yield it. A complete drain publishes; any abort
+// abandons.
+func (it *memoIter) produceNextBatch(max int) (*Batch, bool) {
+	if it.ctx.interruptedN(max) {
 		it.abandonProduce()
 		return nil, false
 	}
@@ -710,7 +659,7 @@ func (it *memoIter) produceNext() (relation.Tuple, bool) {
 		it.inOpened = true
 	}
 	for {
-		t, ok := it.in.Next()
+		b, ok := it.in.NextBatch(max)
 		if !ok {
 			// Complete drain: publish, unless cancellation may have
 			// truncated the stream. The fault point sits before the
@@ -728,62 +677,80 @@ func (it *memoIter) produceNext() (relation.Tuple, bool) {
 			}
 			return nil, false
 		}
+		ts := b.Tuples
 		// A failed governor charge abandons the spool but still yields the
-		// tuple: the pinned *ResourceError is the context's sticky abort
-		// cause and surfaces at the root, so the consumer's stream is never
-		// silently truncated relative to a cache-off run.
-		if !it.ctx.chargeTuple("memo-spool", t) {
+		// block: the pinned *ResourceError surfaces at the root, so the
+		// stream is never silently truncated relative to a cache-off run.
+		if !it.ctx.chargeBatch("memo-spool", ts) {
 			it.abandonProduce()
-			return it.yieldProduced(t)
+			return it.yieldProducedBlock(ts, max)
 		}
 		it.ctx.fireFault(faultinject.PointMemoAppend)
 		if it.ctx.CancelErr() != nil {
 			it.abandonProduce()
-			return it.yieldProduced(t)
+			return it.yieldProducedBlock(ts, max)
 		}
-		if !it.ctx.Memo.appendSpool(it.entry, t) {
-			// Overflow (the entry outgrew the memo budget) or a generation
-			// flush raced the build: the spool is gone, keep streaming.
+		appended, ok := it.ctx.Memo.appendSpoolBlock(it.entry, ts)
+		it.ctx.Stats.CacheTuplesSpooled += int64(appended)
+		if !ok {
+			// Overflow (the entry outgrew the memo budget, possibly after a
+			// partial append) or a generation flush raced the build: the
+			// spool is gone, keep streaming privately.
 			it.entry = nil
 			it.mode = modePrivate
 			it.ctx.Stats.CacheSpoolsAbandoned++
-			return it.yieldProduced(t)
+			return it.yieldProducedBlock(ts, max)
 		}
-		it.ctx.Stats.CacheTuplesSpooled++
-		if it.skip > 0 {
-			// Re-elected producer: this prefix was already delivered
+		if it.skip >= len(ts) {
+			// Re-elected producer: this whole block was already delivered
 			// downstream while consuming the abandoned entry.
-			it.skip--
+			it.skip -= len(ts)
 			continue
 		}
-		return it.yieldProduced(t)
+		return it.yieldProducedBlock(ts, max)
 	}
 }
 
-// yieldProduced delivers one produced tuple downstream, honouring the
-// re-election skip prefix.
-func (it *memoIter) yieldProduced(t relation.Tuple) (relation.Tuple, bool) {
-	if it.skip > 0 {
-		it.skip--
-		return it.Next()
+// yieldProducedBlock delivers one produced block downstream, honouring the
+// re-election skip prefix (possibly trimming the block's head).
+func (it *memoIter) yieldProducedBlock(ts []relation.Tuple, max int) (*Batch, bool) {
+	if it.skip >= len(ts) {
+		it.skip -= len(ts)
+		return it.NextBatch(max)
 	}
-	it.pos++
-	return t, true
+	ts = ts[it.skip:]
+	it.skip = 0
+	it.ctx.noteBatch(len(ts))
+	return it.deliver(ts)
 }
 
-// consumeNext streams one tuple from another execution's building entry.
-// resolved=false means the entry reached a terminal state and the iterator
-// switched modes; the caller loops.
-func (it *memoIter) consumeNext() (relation.Tuple, bool, bool) {
-	t, st, blocked := it.ctx.Memo.consumeWait(it.entry, it.pos, it.ctx.doneChan())
+// deliver hands a block downstream and advances the delivered-prefix count.
+func (it *memoIter) deliver(ts []relation.Tuple) (*Batch, bool) {
+	it.pos += len(ts)
+	it.batch.Tuples = ts
+	return &it.batch, true
+}
+
+// redeliver delivers a block another evaluation produced (replay, or
+// consumption of an in-flight spool). That is not an emission, so it is not
+// a noteBatch — BatchesEmitted stays deterministic under concurrency.
+func (it *memoIter) redeliver(ts []relation.Tuple) (*Batch, bool) {
+	it.ctx.Stats.CacheTuplesReplayed += int64(len(ts))
+	return it.deliver(ts)
+}
+
+// consumeNextBatch streams up to one block from another execution's
+// building entry. resolved=false means the entry reached a terminal state
+// and the iterator switched modes; the caller loops.
+func (it *memoIter) consumeNextBatch(max int) (*Batch, bool, bool) {
+	ts, st, blocked := it.ctx.Memo.consumeWaitBlock(it.entry, it.pos, max, it.ctx.doneChan())
 	if blocked {
 		it.ctx.Stats.CacheSingleFlightWaits++
 	}
 	switch st {
 	case consumeTuple:
-		it.pos++
-		it.ctx.Stats.CacheTuplesReplayed++
-		return t, true, true
+		b, ok := it.redeliver(ts)
+		return b, ok, true
 	case consumeEOF:
 		return nil, false, true
 	case consumeCancelled:
@@ -822,27 +789,26 @@ func (it *memoIter) consumeNext() (relation.Tuple, bool, bool) {
 	}
 }
 
-// privateNext evaluates the subtree transparently, discarding the
+// privateNextBatch evaluates the subtree transparently, discarding the
 // deterministic prefix already delivered downstream from a dead spool.
-func (it *memoIter) privateNext() (relation.Tuple, bool) {
+func (it *memoIter) privateNextBatch(max int) (*Batch, bool) {
 	if !it.inOpened {
 		it.in.Open()
 		it.inOpened = true
 	}
 	for {
-		if it.ctx.Interrupted() {
+		if it.ctx.interruptedN(max) {
 			return nil, false
 		}
-		t, ok := it.in.Next()
+		b, ok := it.in.NextBatch(max)
 		if !ok {
 			return nil, false
 		}
-		if it.skip > 0 {
-			it.skip--
+		if it.skip >= len(b.Tuples) {
+			it.skip -= len(b.Tuples)
 			continue
 		}
-		it.pos++
-		return t, true
+		return it.yieldProducedBlock(b.Tuples, max)
 	}
 }
 

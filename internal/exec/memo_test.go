@@ -200,7 +200,7 @@ func TestMemoIncompleteDrainNotPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.Open()
-	if _, ok := it.Next(); !ok {
+	if _, ok := it.NextBatch(1); !ok {
 		t.Fatal("producer is non-empty")
 	}
 	it.Close() // early close: only one tuple pulled

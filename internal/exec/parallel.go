@@ -17,10 +17,9 @@ import (
 // partition, so "has no partner in my partition" equals "has no partner at
 // all" — the property Bry's Definition 6/7 operators need.
 //
-// The per-partition tables key on the 64-bit tuple hash directly
-// (relation.Tuple.HashCols) and verify candidates with EqualOn, instead of
-// the serial path's allocate-twice Project().Key() string keys. That makes
-// the parallel path faster per core as well as scalable across cores.
+// Each partition builds the same chainedTable as the serial join; the key
+// hash is computed once, during partitioning, and reused for the table
+// insert and the probe.
 //
 // Worker forks carry the engine memo (fork keeps the pointer): inputs are
 // drained on the parent goroutine before workers start, so workers never
@@ -28,127 +27,146 @@ import (
 // fork is safe — the memo is mutex-guarded and single-flight entries
 // identify their producer by execution, not by context pointer.
 
-// joinKind names the member of the join family being executed.
-type joinKind int
-
-const (
-	kindJoin joinKind = iota
-	kindSemiJoin
-	kindComplementJoin
-	kindOuterJoin
-	kindConstrainedOuterJoin
-)
-
-// keyed pairs a tuple with the hash of its join columns, computed once
-// during partitioning and reused for the table insert or probe.
-type keyed struct {
-	t relation.Tuple
-	h uint64
-}
-
-// sizeHinter is implemented by iterators that can cheaply bound how many
-// tuples they will produce. The partitioner uses the hint to pre-size its
-// scatter buffers; it is never relied on for correctness.
-type sizeHinter interface {
-	sizeHint() int
-}
-
-// hintOf returns an upper bound on the iterator's output cardinality, or
-// -1 when it cannot be bounded without running the plan.
-func hintOf(it Iterator) int {
-	if h, ok := it.(sizeHinter); ok {
-		return h.sizeHint()
-	}
-	return -1
-}
-
-// parallelJoinIter executes one join-family operator with partitioned
-// parallelism. It is blocking: Open drains both inputs, runs the partition
-// workers to completion, and Next streams the merged output.
+// parallelJoinIter is the streaming partition-parallel join. Open drains and
+// scatters both inputs (single-threaded: the inputs are serial sources, and
+// their stats charge the parent context as usual) and starts one
+// runPartition worker per partition — but does NOT wait for them: NextBatch
+// streams partition outputs in partition-index order, sliced at the
+// consumer's demand, blocking only on the per-partition done channel of the
+// partition it is currently slicing. A downstream memo producer
+// therefore appends partition 0's blocks to the shared spool while
+// partitions 1..p-1 are still computing — the elected producer's workers
+// fill the spool in parallel — and the partition-index order keeps the
+// spool prefix deterministic, which re-election after a producer death
+// relies on.
 type parallelJoinIter struct {
 	ctx         *Context
 	spec        joinSpec
 	left, right Iterator
 	lk, rk      []int
 
-	out []relation.Tuple
-	pos int
+	p        int
+	outs     [][]relation.Tuple
+	done     []chan struct{}
+	workers  []*Context
+	panics   []*PanicError
+	absorbed []bool
+	wg       sync.WaitGroup
+	started  bool
+	panicked bool
+	part     int
+	pos      int
+	blk      block
 }
 
 func (it *parallelJoinIter) Open() {
 	p := it.ctx.parallelism()
+	it.p = p
 
-	// Phase 1 — partition. The inputs are volcano iterators (serial
-	// sources), so draining is single-threaded; hashes are computed here,
-	// once, and carried into the workers. Input-side stats (base reads,
-	// child operators) charge the parent context as usual.
+	// Phase 1 — partition (parent goroutine), in full-capacity blocks.
 	rparts := drainPartitions(it.ctx, it.right, it.rk, p)
 	lparts := drainPartitions(it.ctx, it.left, it.lk, p)
 
-	// Phase 2 — per-partition build+probe, one worker per partition, each
-	// with a private stats shard. Outputs land in per-partition slices so
-	// the merge is a deterministic concatenation.
-	outs := make([][]relation.Tuple, p)
-	workers := make([]*Context, p)
-	panics := make([]*PanicError, p)
-	var wg sync.WaitGroup
+	// Phase 2 — per-partition build+probe on worker goroutines with private
+	// stats shards. Each worker signals its own done channel; nobody waits
+	// for the full fan-in before streaming.
+	it.outs = make([][]relation.Tuple, p)
+	it.done = make([]chan struct{}, p)
+	it.workers = make([]*Context, p)
+	it.panics = make([]*PanicError, p)
+	it.absorbed = make([]bool, p)
 	for i := 0; i < p; i++ {
 		w := it.ctx.fork()
-		workers[i] = w
-		wg.Add(1)
+		it.workers[i] = w
+		it.done[i] = make(chan struct{})
+		it.wg.Add(1)
 		go func(i int, w *Context) {
-			defer wg.Done()
-			// A panic on a worker goroutine would kill the process: no
-			// boundary above this frame can recover it. Capture it here and
-			// re-surface it after wg.Wait on the merging goroutine, where the
-			// engine's isolation boundary can convert it to a typed error.
+			defer it.wg.Done()
+			// Deferred LIFO: the recover below runs first, so panics[i] is
+			// published before done[i] closes and the streaming goroutine
+			// never reads a half-set slot.
+			defer close(it.done[i])
 			defer func() {
 				if r := recover(); r != nil {
-					panics[i] = CapturePanic(r, "partition-worker")
+					it.panics[i] = CapturePanic(r, "partition-worker")
 				}
 			}()
-			outs[i] = runPartition(w, it.spec, lparts[i], rparts[i], it.lk, it.rk)
+			it.outs[i] = runPartition(w, it.spec, lparts[i], rparts[i], it.lk, it.rk)
 		}(i, w)
 	}
-	wg.Wait()
+	it.started = true
+	it.part, it.pos = 0, 0
+}
 
-	// Phase 3 — merge: absorb stats shards and observed cancellations
-	// (single-threaded again), then concatenate outputs. Absorption runs
-	// before any captured panic is re-surfaced so no worker's shard is lost.
-	total := 0
-	for i := 0; i < p; i++ {
-		it.ctx.absorb(workers[i])
-		total += len(outs[i])
+func (it *parallelJoinIter) NextBatch(max int) (*Batch, bool) {
+	if it.ctx.interruptedN(max) {
+		return nil, false
 	}
-	for _, pe := range panics {
+	for it.part < it.p {
+		if !it.absorbed[it.part] {
+			// Workers always terminate: they run over fully drained
+			// partitions and poll Interrupted, so this wait is bounded.
+			<-it.done[it.part]
+			it.ctx.absorb(it.workers[it.part])
+			it.absorbed[it.part] = true
+			if pe := it.panics[it.part]; pe != nil {
+				// Re-surface on the consuming goroutine after the remaining
+				// shards are absorbed, so no worker's stats are lost and the
+				// isolation boundary converts it to a typed error.
+				it.finish()
+				it.panicked = true
+				panic(pe)
+			}
+		}
+		if b, ok := it.blk.view(it.ctx, it.outs[it.part], &it.pos, max); ok {
+			return b, true
+		}
+		it.part++
+		it.pos = 0
+	}
+	return nil, false
+}
+
+// finish waits for every worker and absorbs the shards not yet absorbed by
+// the streaming loop. Idempotent.
+func (it *parallelJoinIter) finish() {
+	it.wg.Wait()
+	for i := 0; i < it.p; i++ {
+		if !it.absorbed[i] {
+			it.ctx.absorb(it.workers[i])
+			it.absorbed[i] = true
+		}
+	}
+}
+
+func (it *parallelJoinIter) Close() {
+	it.left.Close()
+	it.right.Close()
+	if !it.started {
+		return
+	}
+	it.finish()
+	if it.panicked {
+		return // already re-surfaced from NextBatch; Close runs during unwind
+	}
+	// An early close (emptiness probe, cancelled run) may leave a captured
+	// worker panic unsurfaced: re-panic here so it still reaches the
+	// isolation boundary instead of being silently dropped. Run checks
+	// CancelErr before its deferred Close, so this is the last exit.
+	for _, pe := range it.panics {
 		if pe != nil {
+			it.panicked = true
 			panic(pe)
 		}
 	}
-	it.out = make([]relation.Tuple, 0, total)
-	for _, o := range outs {
-		//lint:ignore govcharge per-partition outputs were charged at emit time in runPartition; the merge only re-slices them
-		it.out = append(it.out, o...)
-	}
-	it.pos = 0
 }
-
-func (it *parallelJoinIter) Next() (relation.Tuple, bool) {
-	if it.pos >= len(it.out) || it.ctx.Interrupted() {
-		return nil, false
-	}
-	t := it.out[it.pos]
-	it.pos++
-	return t, true
-}
-
-func (it *parallelJoinIter) Close() { it.left.Close(); it.right.Close() }
 
 // drainPartitions opens and drains an iterator, hashing each tuple's key
-// columns and scattering it into p partitions by hash. When the source can
-// bound its cardinality (sizeHinter), the partitions are pre-sized: the
-// scatter buffers are the partitioner's dominant allocation, and append
-// growth on large slices wastes several times the final footprint.
+// columns and scattering it into p partitions by hash, with the governor
+// charged once per block ("partition"). When the source can bound its
+// cardinality (sizeHinter), the partitions are pre-sized: the scatter
+// buffers are the partitioner's dominant allocation, and append growth on
+// large slices wastes several times the final footprint.
 func drainPartitions(ctx *Context, in Iterator, keyCols []int, p int) [][]keyed {
 	parts := make([][]keyed, p)
 	if hint := hintOf(in); hint > 0 {
@@ -157,16 +175,13 @@ func drainPartitions(ctx *Context, in Iterator, keyCols []int, p int) [][]keyed 
 			parts[i] = make([]keyed, 0, per)
 		}
 	}
-	in.Open()
-	for {
-		t, ok := in.Next()
-		if !ok || !ctx.chargeTuple("partition", t) {
-			break
+	ctx.drain(in, "partition", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			h := t.HashCols(keyCols)
+			i := int(h % uint64(p))
+			parts[i] = append(parts[i], keyed{t: t, h: h})
 		}
-		h := t.HashCols(keyCols)
-		i := int(h % uint64(p))
-		parts[i] = append(parts[i], keyed{t: t, h: h})
-	}
+	})
 	return parts
 }
 
@@ -183,18 +198,7 @@ func runPartition(w *Context, spec joinSpec, left, right []keyed, lk, rk []int) 
 		return nil
 	}
 
-	// Build: the table chains build tuples with equal hashes through a
-	// flat next-index slice — head holds 1-based indexes into right (0 is
-	// "no entry", which makes the missing-key lookup free), next[i] links
-	// tuple i to the previous tuple with its hash. Two allocations total,
-	// no tuple is moved or copied, unlike a map[hash][]Tuple whose
-	// per-bucket slices dominate the build's allocation profile.
-	head := make(map[uint64]int32, len(right))
-	next := make([]int32, len(right))
-	for i, kt := range right {
-		next[i] = head[kt.h]
-		head[kt.h] = int32(i + 1)
-	}
+	table := newChainedTable(right, rk)
 	w.Stats.HashInserts += int64(len(right))
 	w.Stats.IntermediateTuples += int64(len(right))
 
@@ -213,30 +217,10 @@ func runPartition(w *Context, spec joinSpec, left, right []keyed, lk, rk []int) 
 	}
 	var nulls relation.Tuple
 	if spec.kind == kindOuterJoin {
-		nulls = make(relation.Tuple, spec.rightArity)
-		for i := range nulls {
-			nulls[i] = relation.Null()
-		}
+		nulls = nullTuple(spec.rightArity)
 	}
 
-	// matches fills scratch with the right tuples whose key columns truly
-	// equal the left tuple's (hash chains may hold colliding keys). The
-	// chain links newest-first; scratch reverses it back to build order so
-	// emission order matches the serial executor's per-bucket order.
-	scratch := make([]relation.Tuple, 0, 8)
-	matches := func(kt keyed) []relation.Tuple {
-		w.Stats.Comparisons++
-		scratch = scratch[:0]
-		for j := head[kt.h]; j != 0; j = next[j-1] {
-			if kt.t.EqualOn(lk, right[j-1].t, rk) {
-				scratch = append(scratch, right[j-1].t)
-			}
-		}
-		for i, j := 0, len(scratch)-1; i < j; i, j = i+1, j-1 {
-			scratch[i], scratch[j] = scratch[j], scratch[i]
-		}
-		return scratch
-	}
+	matches := func(kt keyed) []relation.Tuple { return table.probeHash(w, kt.t, kt.h, lk) }
 
 	for _, kt := range left {
 		if w.Interrupted() {
@@ -280,7 +264,7 @@ func runPartition(w *Context, spec joinSpec, left, right []keyed, lk, rk []int) 
 			}
 		case kindConstrainedOuterJoin:
 			// The 'const' gate reads flag columns the tuple already carries:
-			// no probe, no comparison charged (mirrors the serial cojIter).
+			// no probe, no comparison charged (mirrors the serial joinIter).
 			if !spec.coj.ConstraintHolds(kt.t) {
 				if !emit(kt.t.Append(relation.Null())) {
 					return out

@@ -6,7 +6,7 @@ import (
 )
 
 // prober answers "which right-side tuples join with this left tuple?".
-// Two implementations exist: the transient hash table built by the
+// Two implementations exist: the transient chainedTable built by the
 // operator itself (the default), and a persistent catalog index consulted
 // lazily (Context.UseIndexes) — the latter charges no build cost, which
 // lets emptiness tests (§3.2) terminate after genuinely constant work.
@@ -15,8 +15,6 @@ type prober interface {
 	// projection, charging the lookup.
 	probe(ctx *Context, t relation.Tuple, keyCols []int) []relation.Tuple
 }
-
-// probe on the hashTable is defined in iter.go.
 
 // indexProber probes a persistent catalog hash index, optionally
 // re-checking a residual selection predicate on each candidate (the case
@@ -77,30 +75,6 @@ func indexablePlan(p algebra.Plan) (name string, residual algebra.Pred, ok bool)
 		default:
 			return "", nil, false
 		}
-	}
-}
-
-// proberSpec is the plan-time choice of probing strategy; the actual work
-// (hash build) is deferred to Open so Build stays side-effect free.
-type proberSpec struct {
-	ctx  *Context
-	cols []int
-	// exactly one of the two is set
-	index     *indexProber
-	rightIter Iterator
-}
-
-// open realizes the prober; for the hash path this drains the right input.
-func (s *proberSpec) open() prober {
-	if s.index != nil {
-		return s.index
-	}
-	return buildHash(s.ctx, s.rightIter, s.cols)
-}
-
-func (s *proberSpec) close() {
-	if s.rightIter != nil {
-		s.rightIter.Close()
 	}
 }
 

@@ -68,12 +68,12 @@ func TestMemoMidSpoolCancelNotPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.Open()
-	if _, ok := it.Next(); !ok {
+	if _, ok := it.NextBatch(1); !ok {
 		t.Fatal("producer is non-empty")
 	}
 	cancel() // mid-spool: at least one tuple pulled, more remain
 	for {
-		if _, ok := it.Next(); !ok {
+		if _, ok := it.NextBatch(1); !ok {
 			break
 		}
 	}

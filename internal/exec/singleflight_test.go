@@ -11,17 +11,31 @@ import (
 	"repro/internal/testutil"
 )
 
-// feedIter is a channel-fed iterator: each tuple sent on ch is yielded by
-// one Next call, and closing ch ends the stream. Tests use it to hold a
+// feedIter is a channel-fed iterator: each tuple sent on ch is yielded as a
+// one-tuple block, and closing ch ends the stream. Tests use it to hold a
 // memo producer at an exact spool position while consumers attach.
 type feedIter struct {
 	ch <-chan relation.Tuple
+	b  Batch
+}
+
+// next1 pulls one block of demand 1 and returns its tuple.
+func next1(it Iterator) (relation.Tuple, bool) {
+	b, ok := it.NextBatch(1)
+	if !ok {
+		return nil, false
+	}
+	return b.Tuples[0], true
 }
 
 func (it *feedIter) Open() {}
-func (it *feedIter) Next() (relation.Tuple, bool) {
+func (it *feedIter) NextBatch(int) (*Batch, bool) {
 	t, ok := <-it.ch
-	return t, ok
+	if !ok {
+		return nil, false
+	}
+	it.b.Tuples = []relation.Tuple{t}
+	return &it.b, true
 }
 func (it *feedIter) Close() {}
 
@@ -29,16 +43,17 @@ func (it *feedIter) Close() {}
 type listIter struct {
 	ts  []relation.Tuple
 	pos int
+	b   Batch
 }
 
 func (it *listIter) Open() { it.pos = 0 }
-func (it *listIter) Next() (relation.Tuple, bool) {
+func (it *listIter) NextBatch(max int) (*Batch, bool) {
 	if it.pos >= len(it.ts) {
 		return nil, false
 	}
-	t := it.ts[it.pos]
-	it.pos++
-	return t, true
+	end := min(it.pos+max, len(it.ts))
+	it.b.Tuples, it.pos = it.ts[it.pos:end], end
+	return &it.b, true
 }
 func (it *listIter) Close() {}
 
@@ -47,7 +62,7 @@ func (it *listIter) Close() {}
 type boomIter struct{ t *testing.T }
 
 func (it *boomIter) Open() { it.t.Error("consumer opened its input") }
-func (it *boomIter) Next() (relation.Tuple, bool) {
+func (it *boomIter) NextBatch(int) (*Batch, bool) {
 	it.t.Error("consumer evaluated its input")
 	return nil, false
 }
@@ -72,7 +87,7 @@ func drainAsync(it Iterator) (<-chan relation.Tuple, <-chan struct{}) {
 		defer it.Close()
 		it.Open()
 		for {
-			t, ok := it.Next()
+			t, ok := next1(it)
 			if !ok {
 				return
 			}
@@ -172,7 +187,7 @@ func TestMemoProducerDeathReelection(t *testing.T) {
 
 	prod.Open()
 	feed <- ts[0] // buffered: the synchronous producer finds it at Next
-	if got, ok := prod.Next(); !ok || !got.Equal(ts[0]) {
+	if got, ok := next1(prod); !ok || !got.Equal(ts[0]) {
 		t.Fatalf("producer first Next: %v %v", got, ok)
 	}
 
@@ -211,12 +226,12 @@ func TestMemoProducerDeathReelection(t *testing.T) {
 	warm := &memoIter{ctx: warmCtx, in: &boomIter{t: t}, fp: 992, key: "gated"}
 	warm.Open()
 	for _, want := range ts {
-		got, ok := warm.Next()
+		got, ok := next1(warm)
 		if !ok || !got.Equal(want) {
 			t.Fatalf("warm replay got %v %v, want %v", got, ok, want)
 		}
 	}
-	if _, ok := warm.Next(); ok {
+	if _, ok := next1(warm); ok {
 		t.Fatal("warm replay overran")
 	}
 	warm.Close()
@@ -308,7 +323,7 @@ func TestMemoSpoolChargeFailStillYields(t *testing.T) {
 	it.Open()
 	var got []relation.Tuple
 	for {
-		t, ok := it.Next()
+		t, ok := next1(it)
 		if !ok {
 			break
 		}
@@ -451,21 +466,21 @@ func TestMemoSelfNestedSharedDoesNotDeadlock(t *testing.T) {
 	b := &memoIter{ctx: ctx, in: &listIter{ts: ts}, fp: 995, key: "gated"}
 	a.Open()
 	b.Open()
-	if got, ok := a.Next(); !ok || !got.Equal(ts[0]) {
+	if got, ok := next1(a); !ok || !got.Equal(ts[0]) {
 		t.Fatalf("a first: %v %v", got, ok)
 	}
 	// b finds a building entry owned by its own execution: private fallback.
-	if got, ok := b.Next(); !ok || !got.Equal(ts[0]) {
+	if got, ok := next1(b); !ok || !got.Equal(ts[0]) {
 		t.Fatalf("b first: %v %v", got, ok)
 	}
 	if ctx.Stats.CacheMisses != 2 || ctx.Stats.CacheDuplicatesAvoided != 0 {
 		t.Fatalf("self-nested stats: %s", ctx.Stats)
 	}
 	for _, it := range []Iterator{a, b} {
-		if got, ok := it.Next(); !ok || !got.Equal(ts[1]) {
+		if got, ok := next1(it); !ok || !got.Equal(ts[1]) {
 			t.Fatalf("second tuple: %v %v", got, ok)
 		}
-		if _, ok := it.Next(); ok {
+		if _, ok := next1(it); ok {
 			t.Fatal("overrun")
 		}
 	}
@@ -510,7 +525,7 @@ func TestMemoElectFaultKillsProducerTyped(t *testing.T) {
 }
 
 // TestMemoAppendPanicAbandonsBeforeUnwinding arms memo.append with a panic:
-// the abandon must happen before the panic leaves memoIter.Next, so any
+// the abandon must happen before the panic leaves memoIter.NextBatch, so any
 // attached consumer is woken rather than deadlocked.
 func TestMemoAppendPanicAbandonsBeforeUnwinding(t *testing.T) {
 	testutil.CheckGoroutines(t)

@@ -1,5 +1,6 @@
 // Package exec evaluates algebra plans over a storage catalog with a
-// volcano-style (open/next/close) iterator model. Every operator charges
+// volcano-style (Open/NextBatch/Close) block iterator model driven by
+// consumer demand (see Iterator). Every operator charges
 // its work to a Stats record carried by the execution context, so that the
 // paper's efficiency claims — relations searched once, no cartesian
 // products, no materialized unions, early termination of emptiness tests —
@@ -52,11 +53,12 @@ type Stats struct {
 	// publication (cancellation, governor trip, budget overflow, producer
 	// death). Their CacheTuplesSpooled charges bought nothing.
 	CacheSpoolsAbandoned int64
-	// BatchesEmitted counts blocks emitted by producing batch operators
-	// (scan, select, project, union, joins, adapters, memo produce/private).
-	// Memo replay and single-flight consumption re-deliver blocks another
-	// evaluation produced and are NOT counted, which keeps the counter
-	// deterministic under concurrency. 0 on a tuple-at-a-time run.
+	// BatchesEmitted counts blocks emitted by producing operators (scan,
+	// select, project, union, joins, the blocking operators' output, memo
+	// produce/private), at whatever demand they ran under — an emptiness
+	// probe's demand-1 blocks count too. Memo replay and single-flight
+	// consumption re-deliver blocks another evaluation produced and are NOT
+	// counted, which keeps the counter deterministic under concurrency.
 	BatchesEmitted int64
 	// BatchTuples counts the tuples carried by those blocks;
 	// BatchTuples/BatchesEmitted is the average block fill.
@@ -114,8 +116,7 @@ func (s *Stats) String() string {
 		base += fmt.Sprintf(" cdup=%d cwait=%d caband=%d",
 			s.CacheDuplicatesAvoided, s.CacheSingleFlightWaits, s.CacheSpoolsAbandoned)
 	}
-	// Batch counters appear only when the block executor ran, keeping
-	// tuple-at-a-time output stable.
+	// Block counters appear only when some operator emitted a block.
 	if s.BatchesEmitted > 0 {
 		base += fmt.Sprintf(" batches=%d fill=%.1f",
 			s.BatchesEmitted, float64(s.BatchTuples)/float64(s.BatchesEmitted))

@@ -56,7 +56,8 @@ var ErrInjected = errors.New("injected fault")
 const (
 	// PointIterOpen fires when a base-relation scan opens.
 	PointIterOpen = "iter.open"
-	// PointIterNext fires on every base-relation scan Next call.
+	// PointIterNext fires on every base-relation scan NextBatch call (once
+	// per block: per tuple only under demand 1).
 	PointIterNext = "iter.next"
 	// PointWorker fires at the start of each partition worker.
 	PointWorker = "worker.run"

@@ -1,7 +1,7 @@
 package planopt
 
 // BlocksFor converts a per-tuple cardinality hint into a block count for
-// the batch executor: the number of fixed-capacity blocks of blockSize
+// the executor: the number of fixed-capacity blocks of blockSize
 // tuples needed to hold n tuples, rounding UP — a producer that promises
 // 1500 tuples at block size 1024 emits two blocks. A hint of 0 (a provably
 // empty input) needs zero blocks, which is what lets spool and buffer
