@@ -1,5 +1,5 @@
 // Package repro's root benchmarks regenerate every figure of the paper and
-// measure every efficiency claim (experiments F1-F4 and E1-E12 of
+// measure every efficiency claim (experiments F1-F4 and E1-E16 of
 // DESIGN.md). Each benchmark reports, besides ns/op, the executor's cost
 // counters as custom metrics:
 //
@@ -540,13 +540,13 @@ func BenchmarkE10UniversalStrategies(b *testing.B) {
 	}
 }
 
-// --- E12: partitioned parallel executor vs serial (DESIGN.md) ----------------
+// --- E12: the join family, serial (DESIGN.md §5) ------------------------------
 
 // drainPlan builds and exhausts the plan's iterator directly, asking for
 // blocks of capacity batch (0 = the default) — without exec.Run's result
-// materialization and dedup — so a pair isolates the executor's join work
-// (E12: what partitioning changes) or its per-block bookkeeping (E16).
-func drainPlan(b *testing.B, cat *storage.Catalog, plan algebra.Plan, parallelism, batch int) {
+// materialization and dedup — so it isolates the executor's join work (E12)
+// or its per-block bookkeeping (E16).
+func drainPlan(b *testing.B, cat *storage.Catalog, plan algebra.Plan, batch int) {
 	if batch == 0 {
 		batch = exec.DefaultBatchSize
 	}
@@ -554,7 +554,6 @@ func drainPlan(b *testing.B, cat *storage.Catalog, plan algebra.Plan, parallelis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := exec.NewContext(cat)
-		ctx.Parallelism = parallelism
 		ctx.BatchSize = batch
 		it, err := exec.Build(ctx, plan)
 		if err != nil {
@@ -573,56 +572,57 @@ func drainPlan(b *testing.B, cat *storage.Catalog, plan algebra.Plan, parallelis
 	}
 	b.StopTimer()
 	reportStats(b, total)
-	b.ReportMetric(float64(total.PartitionsExecuted)/float64(b.N), "part/op")
 	b.ReportMetric(float64(total.BatchesEmitted)/float64(b.N), "batches/op")
 }
 
-// BenchmarkE12ParallelPartitionedJoin pairs each join-heavy plan at
-// Parallelism 1 (the serial hash join) and 4 (hash-partitioned workers).
-// Both arms build the same chained 64-bit-hash table, so the pair measures
-// partitioning alone: scatter overhead against however many cores there
-// are. (The ≥1.8× this pair showed on one CPU was the partitioned path's
-// table against the old serial pipeline's string keys — EXPERIMENTS.md E12.)
-func BenchmarkE12ParallelPartitionedJoin(b *testing.B) {
+// namedPlan is one benchmark arm's plan.
+type namedPlan struct {
+	name string
+	plan algebra.Plan
+}
+
+// joinWorkload is the join-heavy database of E12, E14 and E16 (50 000
+// students) with the requested plans among join/member-skill,
+// complement-join/member-not-skill-db and semijoin/attends-cs.
+func joinWorkload(b *testing.B, names ...string) (*storage.Catalog, []namedPlan) {
 	p := dataset.DefaultUniversity(50000)
 	p.Lectures = 40
 	p.AttendProb = 0.03
 	cat := dataset.University(p)
-
-	plans := []struct {
-		name string
-		plan algebra.Plan
-	}{
-		{"join/member-skill", func() algebra.Plan {
-			member, _ := cat.Relation("member")
-			skill, _ := cat.Relation("skill")
-			return &algebra.Join{
-				Left:  algebra.NewScan("member", member.Schema()),
-				Right: algebra.NewScan("skill", skill.Schema()),
-				On:    []algebra.ColPair{{Left: 0, Right: 0}},
-			}
-		}()},
-		{"complement-join/member-not-skill-db", func() algebra.Plan {
-			plan, _ := prepare(b, cat, core.StrategyBry, translate.Options{},
-				`{ x, z | member(x, z) and not skill(x, "db") }`)
-			return plan
-		}()},
-		{"semijoin/attends-cs", func() algebra.Plan {
-			att, _ := cat.Relation("attends")
-			lec, _ := cat.Relation("cs_lecture")
-			return &algebra.SemiJoin{
-				Left:  algebra.NewScan("attends", att.Schema()),
-				Right: algebra.NewScan("cs_lecture", lec.Schema()),
-				On:    []algebra.ColPair{{Left: 1, Right: 0}},
-			}
-		}()},
+	scan := func(name string) *algebra.Scan {
+		r, _ := cat.Relation(name)
+		return algebra.NewScan(name, r.Schema())
 	}
-	for _, pl := range plans {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/parallel=%d", pl.name, par), func(b *testing.B) {
-				drainPlan(b, cat, pl.plan, par, 0)
-			})
+	var plans []namedPlan
+	for _, name := range names {
+		var plan algebra.Plan
+		switch name {
+		case "join/member-skill":
+			plan = &algebra.Join{Left: scan("member"), Right: scan("skill"),
+				On: []algebra.ColPair{{Left: 0, Right: 0}}}
+		case "complement-join/member-not-skill-db":
+			plan, _ = prepare(b, cat, core.StrategyBry, translate.Options{},
+				`{ x, z | member(x, z) and not skill(x, "db") }`)
+		case "semijoin/attends-cs":
+			plan = &algebra.SemiJoin{Left: scan("attends"), Right: scan("cs_lecture"),
+				On: []algebra.ColPair{{Left: 1, Right: 0}}}
+		default:
+			b.Fatalf("joinWorkload: unknown plan %q", name)
 		}
+		plans = append(plans, namedPlan{name, plan})
+	}
+	return cat, plans
+}
+
+// BenchmarkE12JoinFamily drains each join-heavy plan on the one serial join
+// path: a chained 64-bit-hash table built from the right input, probed per
+// left tuple. There is no fan-out arm: EXPERIMENTS.md E12 records why.
+func BenchmarkE12JoinFamily(b *testing.B) {
+	cat, plans := joinWorkload(b, "join/member-skill", "complement-join/member-not-skill-db", "semijoin/attends-cs")
+	for _, pl := range plans {
+		b.Run(pl.name, func(b *testing.B) {
+			drainPlan(b, cat, pl.plan, 0)
+		})
 	}
 }
 
@@ -771,6 +771,7 @@ func runConcurrentMemo(b *testing.B, cat *storage.Catalog, plan algebra.Plan, c 
 	reportStats(b, total)
 	b.ReportMetric(float64(total.CacheDuplicatesAvoided)/float64(b.N), "cdup/op")
 	b.ReportMetric(float64(total.CacheTuplesReplayed)/float64(b.N), "creplay/op")
+	b.ReportMetric(float64(total.BatchesEmitted)/float64(b.N), "batches/op")
 }
 
 // BenchmarkE15SingleFlight is the acceptance pair for single-flight
@@ -793,9 +794,9 @@ func BenchmarkE15SingleFlight(b *testing.B) {
 }
 
 // TestE15SingleFlightSharing pins the deterministic half of the E15
-// acceptance bar: with 8 concurrent cold queries (parallelism 8) sharing
-// one fingerprint, exactly one run evaluates the plan; the other seven
-// stream or replay, touching no base relation.
+// acceptance bar: with 8 concurrent cold queries sharing one fingerprint,
+// exactly one run evaluates the plan; the other seven stream or replay,
+// touching no base relation.
 func TestE15SingleFlightSharing(t *testing.T) {
 	cat, input := e13Query(4)
 	q, err := rewrite.Normalize(parser.MustParse(input))
@@ -826,7 +827,6 @@ func TestE15SingleFlightSharing(t *testing.T) {
 		g := g
 		ctxs[g] = exec.NewContext(cat)
 		ctxs[g].Memo = memo
-		ctxs[g].Parallelism = 8
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -874,30 +874,7 @@ func TestE15SingleFlightSharing(t *testing.T) {
 // acceptance gate for the governor: the governed median must stay within 5%
 // of the ungoverned one.
 func BenchmarkE14GovernorOverhead(b *testing.B) {
-	p := dataset.DefaultUniversity(50000)
-	p.Lectures = 40
-	p.AttendProb = 0.03
-	cat := dataset.University(p)
-
-	plans := []struct {
-		name string
-		plan algebra.Plan
-	}{
-		{"join/member-skill", func() algebra.Plan {
-			member, _ := cat.Relation("member")
-			skill, _ := cat.Relation("skill")
-			return &algebra.Join{
-				Left:  algebra.NewScan("member", member.Schema()),
-				Right: algebra.NewScan("skill", skill.Schema()),
-				On:    []algebra.ColPair{{Left: 0, Right: 0}},
-			}
-		}()},
-		{"complement-join/member-not-skill-db", func() algebra.Plan {
-			plan, _ := prepare(b, cat, core.StrategyBry, translate.Options{},
-				`{ x, z | member(x, z) and not skill(x, "db") }`)
-			return plan
-		}()},
-	}
+	cat, plans := joinWorkload(b, "join/member-skill", "complement-join/member-not-skill-db")
 	for _, pl := range plans {
 		for _, governed := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/governed=%v", pl.name, governed), func(b *testing.B) {
@@ -954,91 +931,24 @@ func BenchmarkE8EmptinessTest(b *testing.B) {
 
 // --- E16: columnar batch execution (DESIGN.md §9) -----------------------------
 
-// runConcurrentBatchMemo is runConcurrentMemo's single-flight half with a
-// configurable partition fan-out, pairing a serial elected producer against
-// one whose partition workers fill the shared spool in parallel.
-func runConcurrentBatchMemo(b *testing.B, cat *storage.Catalog, plan algebra.Plan, c, parallelism int) {
-	var total exec.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		memo := exec.NewMemo(0)
-		ctxs := make([]*exec.Context, c)
-		var wg sync.WaitGroup
-		errs := make([]error, c)
-		for g := 0; g < c; g++ {
-			g := g
-			ctxs[g] = exec.NewContext(cat)
-			ctxs[g].Memo = memo
-			ctxs[g].Parallelism = parallelism
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, errs[g] = exec.Run(ctxs[g], plan)
-			}()
-		}
-		wg.Wait()
-		for g := 0; g < c; g++ {
-			if errs[g] != nil {
-				b.Fatal(errs[g])
-			}
-			total.Add(*ctxs[g].Stats)
-		}
-	}
-	b.StopTimer()
-	reportStats(b, total)
-	b.ReportMetric(float64(total.BatchesEmitted)/float64(b.N), "batches/op")
-}
-
 // BenchmarkE16BatchExecution measures what block execution buys. The E12
 // join workloads are drained at demand 1 (tuple-at-a-time) and in blocks of
-// 64 and 1024, serial and partitioned: block 1024 must beat block 1 on the
-// serial workloads (the per-call tax it amortizes), with the parallel pairs
-// no worse. (The original ≥2× bar was set against the separate tuple
+// 64 and 1024: block 1024 must beat block 1 (the per-call tax it
+// amortizes). (The original ≥2× bar was set against the separate tuple
 // pipeline and its string-keyed hash table, both since deleted; block 1
-// shares the chained table, so the remaining gap is bookkeeping alone.) The single-flight pair compares a serial
-// elected producer against parallel partitioned producers filling the
-// shared spool under four concurrent cold consumers.
+// shares the chained table, so the remaining gap is bookkeeping alone.) The
+// single-flight arm drains the join as a shared spool under four concurrent
+// cold consumers.
 func BenchmarkE16BatchExecution(b *testing.B) {
-	p := dataset.DefaultUniversity(50000)
-	p.Lectures = 40
-	p.AttendProb = 0.03
-	cat := dataset.University(p)
-	member, _ := cat.Relation("member")
-	skill, _ := cat.Relation("skill")
-	att, _ := cat.Relation("attends")
-	lec, _ := cat.Relation("cs_lecture")
-	plans := []struct {
-		name string
-		plan algebra.Plan
-	}{
-		{"join/member-skill", &algebra.Join{
-			Left:  algebra.NewScan("member", member.Schema()),
-			Right: algebra.NewScan("skill", skill.Schema()),
-			On:    []algebra.ColPair{{Left: 0, Right: 0}},
-		}},
-		{"semijoin/attends-cs", &algebra.SemiJoin{
-			Left:  algebra.NewScan("attends", att.Schema()),
-			Right: algebra.NewScan("cs_lecture", lec.Schema()),
-			On:    []algebra.ColPair{{Left: 1, Right: 0}},
-		}},
-	}
+	cat, plans := joinWorkload(b, "join/member-skill", "semijoin/attends-cs")
 	for _, pl := range plans {
-		for _, par := range []int{1, 4} {
-			for _, bs := range []int{1, 64, 1024} {
-				b.Run(fmt.Sprintf("%s/parallel=%d/block=%d", pl.name, par, bs), func(b *testing.B) {
-					drainPlan(b, cat, pl.plan, par, bs)
-				})
-			}
+		for _, bs := range []int{1, 64, 1024} {
+			b.Run(fmt.Sprintf("%s/block=%d", pl.name, bs), func(b *testing.B) {
+				drainPlan(b, cat, pl.plan, bs)
+			})
 		}
 	}
-
-	// Single-flight producer pair: the shared subtree IS the partitioned
-	// join, so the fan-out affects exactly the elected producer's spool
-	// fill — consumers stream published blocks either way.
-	shared := algebra.NewShared(plans[0].plan)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("single-flight/c=4/producer-parallel=%d", par), func(b *testing.B) {
-			runConcurrentBatchMemo(b, cat, shared, 4, par)
-		})
-	}
+	b.Run("single-flight/c=4", func(b *testing.B) {
+		runConcurrentMemo(b, cat, algebra.NewShared(plans[0].plan), 4, true)
+	})
 }

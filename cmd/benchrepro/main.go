@@ -9,7 +9,6 @@
 //	benchrepro             # everything
 //	benchrepro -only fig4      # one artifact: fig1..fig4, e1..e16
 //	benchrepro -only e13,e15   # a comma-separated subset
-//	benchrepro -parallel 4 # run the query artifacts on the partitioned executor
 //	benchrepro -json out.jsonl  # also write every table row as a JSON line
 //	                            # (scripts/benchcmp.sh diffs two such files)
 package main
@@ -36,18 +35,12 @@ import (
 	"repro/internal/translate"
 )
 
-// parallelism is the partition fan-out applied to every engine the query
-// artifacts build (-parallel flag; 1 = serial). The counters are designed
-// to be identical either way — e12 demonstrates exactly that.
-var parallelism = 1
-
 // jsonOut, when non-nil, receives one JSON line per table row (-json flag);
 // scripts/benchcmp.sh diffs two such files counter by counter.
 var jsonOut *os.File
 
 func main() {
 	only := flag.String("only", "", "restrict to a comma-separated list of artifacts: fig1..fig4, e1..e16")
-	flag.IntVar(&parallelism, "parallel", 1, "partition fan-out of the hash-join family (1 = serial)")
 	jsonPath := flag.String("json", "", "also append every table row as a JSON line to this file")
 	flag.Parse()
 
@@ -79,11 +72,11 @@ func main() {
 		{"e8", e8, "E8 — emptiness-test early termination (§3.2)"},
 		{"e9", e9, "E9 — indexed vs hash-building executor (ablation)"},
 		{"e10", e10, "E10 — universal quantification: counting vs division vs complement-join"},
-		{"e12", e12, "E12 — partitioned parallel executor: serial vs parallel counter parity"},
+		{"e12", e12, "E12 — partitioned parallel executor (removed)"},
 		{"e13", e13, "E13 — memoizing subplan cache on wide disjunctions (union strategy)"},
 		{"e14", e14, "E14 — resource governor: overhead parity, budget trips, degradation"},
 		{"e15", e15, "E15 — single-flight shared-spool evaluation under concurrent queries"},
-		{"e16", e16, "E16 — columnar batch execution: block-size parity and parallel spool producers"},
+		{"e16", e16, "E16 — columnar batch execution: block-size parity and a single-flight spool producer"},
 	}
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -239,7 +232,6 @@ func queryRow(db *core.DB, strat core.Strategy, opt translate.Options, label, in
 	eng := core.NewEngine(db,
 		core.WithStrategy(strat),
 		core.WithTranslateOptions(opt),
-		core.WithParallelism(parallelism),
 	)
 	res, err := eng.Query(input)
 	if err != nil {
@@ -613,36 +605,13 @@ func e10() {
 	printTable("universal quantification strategies, 1000 students", rows)
 }
 
-// e12 runs a join-heavy query serially and under increasing partition
-// fan-outs: results and counters must agree (the partitioned executor
-// charges identical work, sharded per worker and merged lock-free), with
-// only the partition counter recording the fan-out. Timings live in the go
-// benchmarks (go test -bench E12).
+// e12 records why the partition-parallel join executor is gone
+// (EXPERIMENTS.md E12 has the numbers).
 func e12() {
-	p := dataset.DefaultUniversity(3000)
-	p.Lectures = 60
-	p.AttendProb = 0.1
-	cat := dataset.University(p)
-	db := core.NewDB()
-	for _, name := range cat.Names() {
-		r, _ := cat.Relation(name)
-		db.Catalog().Add(r)
-	}
-	q := `{ x, z | member(x, z) and not skill(x, "db") and exists y: cs_lecture(y) and attends(x, y) }`
-	var rows []row
-	for _, par := range []int{1, 2, 4, 8} {
-		eng := core.NewEngine(db, core.WithParallelism(par))
-		res, err := eng.Query(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows = append(rows, row{
-			label: fmt.Sprintf("parallel=%d", par),
-			stats: res.Stats,
-			extra: fmt.Sprintf("%d rows, partitions=%d", res.Rows.Len(), res.Stats.PartitionsExecuted),
-		})
-	}
-	printTable("partitioned executor parity, 3000 students", rows)
+	fmt.Println("The partition-parallel join executor was removed. On a 2-vCPU VM, four")
+	fmt.Println("partitions made the E12 join 1.2-1.3x faster than serial and the")
+	fmt.Println("complement-join and semijoin 1.3-1.6x slower, so every join runs on")
+	fmt.Println("one serial path. See EXPERIMENTS.md E12.")
 }
 
 // e13 shows the memoizing subplan cache on the union disjunctive-filter
@@ -669,12 +638,8 @@ func e13() {
 				res.Rows.Len(), res.Stats.CacheHits, res.Stats.CacheMisses,
 				res.Stats.CacheTuplesReplayed, res.Stats.CacheTuplesSpooled)}
 	}
-	opts := []core.Option{
-		core.WithDisjunctiveFilters(translate.StrategyUnion),
-		core.WithParallelism(parallelism),
-	}
-	off := core.NewEngine(db, opts...)
-	on := core.NewEngine(db, append([]core.Option{core.WithPlanCache(0)}, opts...)...)
+	off := core.NewEngine(db, core.WithDisjunctiveFilters(translate.StrategyUnion))
+	on := core.NewEngine(db, core.WithDisjunctiveFilters(translate.StrategyUnion), core.WithPlanCache(0))
 	rows := []row{
 		run(off, "cache off"),
 		run(on, "cache cold"),
@@ -704,7 +669,7 @@ func e14() {
 	}
 	q := `{ x, z | member(x, z) and not skill(x, "db") and exists y: cs_lecture(y) and attends(x, y) }`
 	run := func(label string, opts ...core.Option) row {
-		eng := core.NewEngine(db, append([]core.Option{core.WithParallelism(parallelism)}, opts...)...)
+		eng := core.NewEngine(db, opts...)
 		res, err := eng.Query(q)
 		if err != nil {
 			log.Fatal(err)
@@ -771,12 +736,8 @@ func e15() {
 	}
 	q := `{ x | P(x) and T(x) and (U(x) or T2(x) or T3(x) or T4(x)) }`
 	const n = 6
-	opts := []core.Option{
-		core.WithDisjunctiveFilters(translate.StrategyUnion),
-		core.WithParallelism(parallelism),
-	}
 	newCached := func() *core.Engine {
-		return core.NewEngine(db, append([]core.Option{core.WithPlanCache(0)}, opts...)...)
+		return core.NewEngine(db, core.WithDisjunctiveFilters(translate.StrategyUnion), core.WithPlanCache(0))
 	}
 
 	ref, err := newCached().Query(q)
@@ -845,12 +806,9 @@ func fillOf(st exec.Stats) float64 {
 // block capacities 1/64/1024 — every logical counter is identical across
 // the three rows, only batches_emitted and the fill gauge move, which is
 // the executor's correctness contract (capacity 1 is tuple-at-a-time).
-// Second half: the E15 single-flight workload runs with the elected producer's
-// partition workers filling the shared spool in parallel; the logical
-// counters (after the e15-style hit/duplicate fold) match the serial-
-// producer run, and batches_emitted stays deterministic because only
-// producing operators count blocks (replay and single-flight consumption
-// do not).
+// Second half: the E15 single-flight workload, whose batches_emitted stays
+// deterministic because only producing operators count blocks (replay and
+// single-flight consumption do not).
 func e16() {
 	p := dataset.DefaultUniversity(3000)
 	p.Lectures = 60
@@ -877,10 +835,10 @@ func e16() {
 	printTable("batch-size counter parity, E12 workload, 3000 students", rows)
 	fmt.Println()
 
-	// Parallel partitioned producers under single-flight sharing: 6
-	// concurrent cold queries of the E13 workload against one shared memo,
-	// with the join family partitioned 4 ways. The elected producer streams
-	// its partition outputs into the shared spool as workers finish.
+	// One elected producer under single-flight sharing: 6 concurrent cold
+	// queries of the E13 workload against one shared memo. The table title
+	// and row label predate the removal of the partition-parallel executor;
+	// they are kept so the committed baseline row stays comparable.
 	pcat := dataset.PTU(dataset.PTUParams{N: 4000, TProb: 0.5, UProb: 0.1, ExtraShare: 0.05, Branches: 5, Seed: 13})
 	pdb := core.NewDB()
 	for _, name := range pcat.Names() {
@@ -889,11 +847,10 @@ func e16() {
 	}
 	pq := `{ x | P(x) and T(x) and (U(x) or T2(x) or T3(x) or T4(x)) }`
 	const n = 6
-	runConcurrent := func(label string, par int) row {
+	runConcurrent := func(label string) row {
 		eng := core.NewEngine(pdb,
 			core.WithDisjunctiveFilters(translate.StrategyUnion),
 			core.WithPlanCache(0),
-			core.WithParallelism(par),
 		)
 		results := make([]*core.Result, n)
 		errs := make([]error, n)
@@ -926,8 +883,5 @@ func e16() {
 				results[0].Rows.Len(), shared, agg.BatchesEmitted, fillOf(agg))}
 	}
 	printTable("parallel partitioned producers, E13 workload, 6 concurrent cold queries",
-		[]row{
-			runConcurrent("serial producer (parallel=1)", 1),
-			runConcurrent("parallel producers (parallel=4)", 4),
-		})
+		[]row{runConcurrent("serial producer (parallel=1)")})
 }

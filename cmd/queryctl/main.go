@@ -6,7 +6,7 @@
 //
 //	queryctl -dataset university -n 100                 # REPL
 //	queryctl -dataset ptu -q '{ x | P(x) and T(x) }'    # one-shot
-//	queryctl -parallel 4 -timeout 5s                    # tuned engine
+//	queryctl -timeout 5s                                # bounded engine
 //	queryctl -remote http://localhost:8991 -apikey K -q '...'  # against queryd
 //	queryctl -remote http://localhost:8991 -stats       # daemon report
 //
@@ -16,7 +16,6 @@
 //	\d NAME        show a relation's contents
 //	\strategy S    switch evaluation strategy (bry, codd, codd-improved, loop)
 //	\filters S     disjunctive-filter strategy (constrained, outerjoin, union)
-//	\parallel P    partition fan-out of the hash-join family (1 = serial)
 //	\cache on|off|status   memoizing subplan cache (shared-subtree results)
 //	\limits        show the per-query resource budgets and trip counters
 //	\limits tuples N   abort queries that materialize more than N tuples
@@ -56,7 +55,6 @@ func main() {
 	ds := flag.String("dataset", "university", "dataset: university, ptu, rstg")
 	n := flag.Int("n", 100, "dataset scale")
 	strategy := flag.String("strategy", "bry", "evaluation strategy: bry, codd, codd-improved, loop")
-	parallel := flag.Int("parallel", 1, "partition fan-out of the hash-join family (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-query execution bound (0 = none)")
 	oneShot := flag.String("q", "", "run a single query and exit")
 	remote := flag.String("remote", "", "queryd base URL (e.g. http://localhost:8991): act as a client instead of evaluating locally")
@@ -86,10 +84,7 @@ func main() {
 		r, _ := cat.Relation(name)
 		db.Catalog().Add(r)
 	}
-	eng := core.NewEngine(db,
-		core.WithParallelism(*parallel),
-		core.WithTimeout(*timeout),
-	)
+	eng := core.NewEngine(db, core.WithTimeout(*timeout))
 	if err := setStrategy(eng, *strategy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -135,14 +130,6 @@ func main() {
 			if err := setFilters(eng, strings.TrimSpace(line[9:])); err != nil {
 				fmt.Println(err)
 			}
-		case strings.HasPrefix(line, `\parallel `):
-			p, err := strconv.Atoi(strings.TrimSpace(line[10:]))
-			if err != nil || p < 1 {
-				fmt.Println(`usage: \parallel P  (P ≥ 1; 1 = serial)`)
-				break
-			}
-			eng.Configure(core.WithParallelism(p))
-			fmt.Printf("parallelism = %d\n", eng.Parallelism())
 		case strings.HasPrefix(line, `\cache `):
 			out, err := setCache(eng, strings.TrimSpace(line[7:]))
 			if err != nil {

@@ -72,7 +72,6 @@ func run() error {
 	ds := flag.String("dataset", "university", "dataset: university, ptu, rstg")
 	n := flag.Int("n", 100, "dataset scale")
 	tenantsFlag := flag.String("tenants", "demo:demo-key", "comma-separated name:apikey[:tuple-limit[:memory-budget[:weight[:rps]]]] entries")
-	parallel := flag.Int("parallel", 1, "partition fan-out of every tenant engine (1 = serial)")
 	cache := flag.Bool("cache", true, "enable each tenant's memoizing subplan cache")
 	batchSize := flag.Int("batch-size", service.DefaultBatchSize, "flush a batch at this many requests")
 	batchWait := flag.Duration("batch-wait", service.DefaultBatchMaxWait, "flush a non-empty batch after this wait")
@@ -108,7 +107,7 @@ func run() error {
 		return err
 	}
 
-	opts := []core.Option{core.WithParallelism(*parallel)}
+	var opts []core.Option
 	if *cache {
 		opts = append(opts, core.WithPlanCache(0))
 	}

@@ -66,8 +66,8 @@ func main() {
 	}
 
 	// Constraint checking is a background-maintenance workload: bound it
-	// with a timeout and run the join family partitioned.
-	eng := core.NewEngine(db, core.WithParallelism(2), core.WithTimeout(30*time.Second))
+	// with a timeout.
+	eng := core.NewEngine(db, core.WithTimeout(30*time.Second))
 	for _, c := range constraints {
 		ok, err := eng.Check(c.check)
 		if err != nil {

@@ -279,7 +279,7 @@ func SortDiagnostics(ds []Diagnostic) {
 
 // isTupleLike reports whether buffering values of type t buffers tuples: t
 // is (or contains, through slices, arrays, pointers and struct fields) a
-// named type called Tuple. The partitioner's keyed{t Tuple; h uint64}
+// named type called Tuple. The join build's keyed{t Tuple; h uint64}
 // wrapper is the motivating indirect case.
 func isTupleLike(t types.Type) bool { return tupleLike(t, 0) }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // GoroLeak enforces the goroutine-lifecycle contract the concurrent tiers
-// (partition workers, batcher collector, batch goroutines, shutdown drain)
-// follow by design: every `go` statement outside package main must be tied
+// (batcher collector, batch goroutines, shutdown drain) follow by design —
+// the query executor itself starts none: every `go` statement outside package main must be tied
 // to a lifecycle the spawner (or anyone) can wait on or cancel. Untracked
 // goroutines are how a service leaks under churn — the chaos suite's
 // CheckGoroutines catches them at runtime, this pass catches them at lint
@@ -17,8 +17,8 @@ import (
 // A spawned function counts as tied when its body — or the body of a
 // same-package function/method it calls, two levels deep — contains any of:
 //
-//   - a Done() call on a sync.WaitGroup (the Add/Done pair; parallel.go's
-//     partition workers);
+//   - a Done() call on a sync.WaitGroup (the Add/Done pair; the batcher's
+//     per-batch goroutines);
 //   - a receive from a channel, directly, in a select case, or by ranging
 //     over it (the batcher collector's quit/done select, slot tokens);
 //   - a Done() or Err() call on a context.Context (cancellation-aware

@@ -11,7 +11,7 @@ import (
 //
 // A materialization is:
 //   - append(s, ...) where s buffers tuples (its element type is, or
-//     contains, a named Tuple type — the partitioner's keyed wrapper
+//     contains, a named Tuple type — the join build's keyed wrapper
 //     included);
 //   - m[k] = v where m is a map whose value type buffers tuples, is
 //     struct{} (a membership set retains its keys), or is itself such a

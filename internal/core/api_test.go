@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/relation"
 )
 
@@ -62,23 +63,20 @@ func largeDB(t *testing.T) *DB {
 const longQuery = `{ x, y | student(x) and cs_lecture(y) and not attends(x, y) }`
 
 // TestWithTimeoutAbortsLongQuery: an engine-level WithTimeout cancels a
-// long-running query within its deadline, for both the serial and the
-// partitioned executor, surfacing context.DeadlineExceeded.
+// long-running query within its deadline, surfacing
+// context.DeadlineExceeded.
 func TestWithTimeoutAbortsLongQuery(t *testing.T) {
-	db := largeDB(t)
-	for _, par := range []int{1, 4} {
-		eng := NewEngine(db, WithParallelism(par), WithTimeout(5*time.Millisecond))
-		start := time.Now()
-		res, err := eng.Query(longQuery)
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("parallel=%d: err = %v (res=%v), want context.DeadlineExceeded", par, err, res)
-		}
-		// Generous bound: the point is that it aborted, not that it was
-		// instantaneous (cancellation is polled every 1024 tuples).
-		if elapsed > 2*time.Second {
-			t.Fatalf("parallel=%d: abort took %s", par, elapsed)
-		}
+	eng := NewEngine(largeDB(t), WithTimeout(5*time.Millisecond))
+	start := time.Now()
+	res, err := eng.Query(longQuery)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v (res=%v), want context.DeadlineExceeded", err, res)
+	}
+	// Generous bound: the point is that it aborted, not that it was
+	// instantaneous (cancellation is polled every 1024 tuples).
+	if elapsed > 2*time.Second {
+		t.Fatalf("abort took %s", elapsed)
 	}
 }
 
@@ -93,29 +91,27 @@ func TestQueryContextCancel(t *testing.T) {
 	}
 }
 
-// TestQueryContextCompletes: an inert context changes nothing, and the
-// parallel engine agrees with the serial one on the same query.
+// TestQueryContextCompletes: an inert context changes nothing.
 func TestQueryContextCompletes(t *testing.T) {
-	db := demoDB()
-	serial := NewEngine(db)
-	want, err := serial.QueryContext(context.Background(), `{ x | student(x) and not exists y: attends(x, y) }`)
+	eng := NewEngine(demoDB())
+	const q = `{ x | student(x) and not exists y: attends(x, y) }`
+	want, err := eng.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := NewEngine(db, WithParallelism(4))
-	got, err := par.QueryContext(context.Background(), `{ x | student(x) and not exists y: attends(x, y) }`)
+	got, err := eng.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Rows.Equal(want.Rows) {
-		t.Fatalf("parallel engine disagrees:\n%s\nvs\n%s", got.Rows, want.Rows)
+		t.Fatalf("context run disagrees:\n%s\nvs\n%s", got.Rows, want.Rows)
 	}
 }
 
 // TestCheckContext: the context-first constraint check works and still
 // rejects open queries.
 func TestCheckContext(t *testing.T) {
-	eng := NewEngine(demoDB(), WithParallelism(2))
+	eng := NewEngine(demoDB())
 	ok, err := eng.CheckContext(context.Background(), `forall x, y: attends(x, y) => student(x)`)
 	if err != nil || !ok {
 		t.Fatalf("constraint: %v %v", ok, err)
@@ -149,15 +145,15 @@ func TestConfigureAccessors(t *testing.T) {
 	eng := NewEngine(demoDB(),
 		WithStrategy(StrategyCodd),
 		WithIndexes(true),
-		WithParallelism(8),
+		WithBatchSize(8),
 		WithTimeout(time.Second),
 	)
-	if eng.Strategy() != StrategyCodd || !eng.UseIndexes() || eng.Parallelism() != 8 || eng.Timeout() != time.Second {
+	if eng.Strategy() != StrategyCodd || !eng.UseIndexes() || eng.BatchSize() != 8 || eng.Timeout() != time.Second {
 		t.Fatalf("accessors disagree with options: %v %v %v %v",
-			eng.Strategy(), eng.UseIndexes(), eng.Parallelism(), eng.Timeout())
+			eng.Strategy(), eng.UseIndexes(), eng.BatchSize(), eng.Timeout())
 	}
-	eng.Configure(WithParallelism(-3), WithTimeout(-time.Second), WithStrategy(StrategyBry))
-	if eng.Parallelism() != 1 || eng.Timeout() != 0 || eng.Strategy() != StrategyBry {
-		t.Fatalf("clamping failed: %v %v", eng.Parallelism(), eng.Timeout())
+	eng.Configure(WithBatchSize(-3), WithTimeout(-time.Second), WithStrategy(StrategyBry))
+	if eng.BatchSize() != exec.DefaultBatchSize || eng.Timeout() != 0 || eng.Strategy() != StrategyBry {
+		t.Fatalf("clamping failed: %v %v", eng.BatchSize(), eng.Timeout())
 	}
 }

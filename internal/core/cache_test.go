@@ -17,7 +17,7 @@ var cacheConfigs = []struct {
 }{
 	{"default", nil},
 	{"union-filters", []Option{WithDisjunctiveFilters(translate.StrategyUnion)}},
-	{"parallel-4", []Option{WithParallelism(4)}},
+	{"block-7", []Option{WithBatchSize(7)}},
 }
 
 // TestPlanCacheAgreement is the cache property test: on random databases,

@@ -40,15 +40,15 @@ func sameAnswer(a, b *Result) bool {
 }
 
 // TestChaosEngineSurvivesSeededFaults is the engine-boundary counterpart of
-// the exec sweep: one seeded fault per query per iteration against a cached,
-// parallel engine, for an open query (Run) and a closed one (EvalBool
+// the exec sweep: one seeded fault per query per iteration against a cached
+// engine, for an open query (Run) and a closed one (EvalBool
 // probes). For every seed each call must return — typed error or correct
 // result, never a crash — and after clearing the plan the SAME engine (same
 // catalog, same warm plan cache) must answer exactly the fault-free answer.
 func TestChaosEngineSurvivesSeededFaults(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := robustDB()
-	baseline := NewEngine(db, WithParallelism(4)) // cache-off reference
+	baseline := NewEngine(db) // cache-off reference
 	queries := []string{robustQuery, robustClosedQuery}
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
@@ -58,7 +58,7 @@ func TestChaosEngineSurvivesSeededFaults(t *testing.T) {
 		}
 	}
 
-	eng := NewEngine(db, WithParallelism(4), WithPlanCache(0))
+	eng := NewEngine(db, WithPlanCache(0))
 	seeds := chaosSeedCount(t)
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed

@@ -115,11 +115,10 @@ func (s Strategy) String() string {
 // and read through accessors (options.go); executions are bounded and
 // cancelled through the *Context method variants or WithTimeout.
 type Engine struct {
-	db          *DB
-	strategy    Strategy
-	topts       translate.Options
-	useIndexes  bool
-	parallelism int
+	db         *DB
+	strategy   Strategy
+	topts      translate.Options
+	useIndexes bool
 	// batchSize is the executor's block capacity (WithBatchSize); 0 selects
 	// exec.DefaultBatchSize.
 	batchSize int
@@ -147,7 +146,7 @@ type Engine struct {
 
 // NewEngine builds an engine with the default (Bry) strategy, then applies
 // the options: e.g. NewEngine(db, WithStrategy(StrategyCodd),
-// WithParallelism(4), WithTimeout(time.Second)).
+// WithIndexes(true), WithTimeout(time.Second)).
 func NewEngine(db *DB, opts ...Option) *Engine {
 	e := &Engine{db: db}
 	e.Configure(opts...)
@@ -202,8 +201,7 @@ func (e *Engine) Prepare(input string) (*Prepared, error) {
 }
 
 // runGuarded runs fn inside an isolation boundary: a panic anywhere below —
-// an iterator, a translator, a worker panic re-surfaced on the merging
-// goroutine — is recovered, counted on st, and returned as a typed
+// an iterator, a translator — is recovered, counted on st, and returned as a typed
 // *ExecError instead of killing the process. Organic errors are classified
 // (classifyExec) on the way out.
 func (e *Engine) runGuarded(st *exec.Stats, stage, plan string, fn func() error) (err error) {
@@ -288,13 +286,12 @@ func (e *Engine) prepareQuery(q parser.Query) (*Prepared, error) {
 }
 
 // execContext builds the execution context for one run: engine tuning
-// (indexes, parallelism) plus cancellation wiring. An engine-level timeout
+// (indexes, block capacity, memo) plus cancellation wiring. An engine-level timeout
 // (WithTimeout) layers a deadline over the caller's context; the returned
 // cancel func must be called when the run finishes.
 func (e *Engine) execContext(goCtx context.Context) (*exec.Context, context.CancelFunc) {
 	ctx := exec.NewContext(e.db.cat)
 	ctx.UseIndexes = e.useIndexes
-	ctx.Parallelism = e.parallelism
 	ctx.BatchSize = e.batchSize
 	ctx.Memo = e.memo
 	tl, mb := e.tupleLimit, e.memBudget
@@ -379,6 +376,10 @@ func (e *Engine) RunContext(goCtx context.Context, p *Prepared) (*Result, error)
 			if err != nil {
 				return err
 			}
+			// The plan's schema names the columns after the base relations
+			// they were read from; an answer is headed by the query's
+			// variables, as the loop interpreter's is.
+			rows.Relabel(p.Canonical.OpenVars...)
 			res.Rows = rows
 			return nil
 		}
@@ -555,7 +556,6 @@ func (e *Engine) ExplainCost(input string) (string, error) {
 		return "", err
 	}
 	m := cost.New(e.db.cat)
-	m.SetParallelism(e.Parallelism())
 	m.SetBatchSize(e.BatchSize())
 	out := "canonical: " + p.Canonical.String() + "\n"
 	if p.Plan != nil {

@@ -39,18 +39,6 @@ func WithIndexes(use bool) Option {
 	return func(e *Engine) { e.useIndexes = use }
 }
 
-// WithParallelism sets the partition fan-out of the hash-join family:
-// build and probe sides are hash-partitioned into p disjoint partitions
-// executed concurrently. Values below 2 select the serial executor.
-func WithParallelism(p int) Option {
-	return func(e *Engine) {
-		if p < 1 {
-			p = 1
-		}
-		e.parallelism = p
-	}
-}
-
 // WithBatchSize sets the executor's block capacity: how many tuples Run and
 // every blocking operator ask their inputs for at a time. Zero or negative —
 // the default — selects exec.DefaultBatchSize. Emptiness probes and
@@ -98,7 +86,7 @@ func WithTimeout(d time.Duration) Option {
 
 // WithTupleLimit bounds every execution started through this engine to at
 // most n tuples materialized or delivered, accounted across all operators
-// (and all partition workers) of one run. Exceeding the bound aborts the
+// of one run. Exceeding the bound aborts the
 // query with a *ResourceError. Zero (the default) means unbounded.
 func WithTupleLimit(n int64) Option {
 	return func(e *Engine) {
@@ -110,8 +98,7 @@ func WithTupleLimit(n int64) Option {
 }
 
 // WithMemoryBudget bounds every execution's estimated buffered bytes (join
-// build tables, materializations, dedup sets, memo spools, partition
-// buffers, the result). Under pressure the engine first sheds warm plan-cache
+// build tables, materializations, dedup sets, memo spools, the result). Under pressure the engine first sheds warm plan-cache
 // entries (graceful degradation); if the run still does not fit it aborts
 // with a *ResourceError. Zero (the default) means unbounded.
 func WithMemoryBudget(bytes int64) Option {
@@ -200,14 +187,6 @@ func (e *Engine) TranslateOptions() translate.Options { return e.topts }
 
 // UseIndexes reports whether persistent-index probing is enabled.
 func (e *Engine) UseIndexes() bool { return e.useIndexes }
-
-// Parallelism returns the configured partition fan-out (1 = serial).
-func (e *Engine) Parallelism() int {
-	if e.parallelism < 1 {
-		return 1
-	}
-	return e.parallelism
-}
 
 // BatchSize returns the executor's effective block capacity.
 func (e *Engine) BatchSize() int {

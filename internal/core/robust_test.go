@@ -174,7 +174,7 @@ func TestMemoryPressureShedsPlanCache(t *testing.T) {
 func TestEveryInjectionPointSurfacesTyped(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := robustDB()
-	baseline := NewEngine(db, WithParallelism(4))
+	baseline := NewEngine(db)
 	want, err := baseline.Query(robustQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestEveryInjectionPointSurfacesTyped(t *testing.T) {
 		for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
 			t.Run(fmt.Sprintf("%s-%s", pt, kind), func(t *testing.T) {
 				fp := faultinject.New(faultinject.Arm{Point: pt, Kind: kind})
-				eng := NewEngine(db, WithParallelism(4), WithPlanCache(0), WithFaultPlan(fp))
+				eng := NewEngine(db, WithPlanCache(0), WithFaultPlan(fp))
 				_, err := eng.Query(robustQuery)
 				if fired := fp.Fired(); len(fired) != 1 {
 					t.Fatalf("arm did not fire on this plan (fired=%v)", fired)
@@ -220,12 +220,12 @@ func TestEveryInjectionPointSurfacesTyped(t *testing.T) {
 }
 
 // TestStreamContextGuarded: the streaming entry point shares the isolation
-// boundary — a worker panic mid-stream surfaces typed, with partial stats.
+// boundary — a scan panic mid-stream surfaces typed, with partial stats.
 func TestStreamContextGuarded(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := robustDB()
-	eng := NewEngine(db, WithParallelism(4),
-		WithFaultPlan(faultinject.New(faultinject.Arm{Point: faultinject.PointWorker, Kind: faultinject.KindPanic})))
+	eng := NewEngine(db,
+		WithFaultPlan(faultinject.New(faultinject.Arm{Point: faultinject.PointIterNext, Kind: faultinject.KindPanic})))
 	p, err := eng.Prepare(robustQuery)
 	if err != nil {
 		t.Fatal(err)

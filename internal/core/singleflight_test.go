@@ -8,8 +8,7 @@ import (
 )
 
 // TestEngineConcurrentColdQueriesSingleFlight is the engine-level hammer
-// behind E15: eight concurrent cold queries on one engine (parallelism 8)
-// all share the same root fingerprint, and exactly one of them evaluates
+// behind E15: eight concurrent cold queries on one engine all share the same root fingerprint, and exactly one of them evaluates
 // the plan — every other run streams from the producer's in-flight spool or
 // replays the published entry, reading zero base tuples.
 func TestEngineConcurrentColdQueriesSingleFlight(t *testing.T) {
@@ -22,12 +21,12 @@ func TestEngineConcurrentColdQueriesSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRef, err := NewEngine(demoDB(), WithPlanCache(0), WithParallelism(8)).Query(q)
+	coldRef, err := NewEngine(demoDB(), WithPlanCache(0)).Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng := NewEngine(demoDB(), WithPlanCache(0), WithParallelism(8))
+	eng := NewEngine(demoDB(), WithPlanCache(0))
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup

@@ -11,8 +11,9 @@ package core
 // it whenever a field is added, renamed, or changes meaning, so persisted
 // snapshots (load-test records, committed baselines) stay interpretable.
 // Version 2 added the batch-executor surface: batches_emitted (counter) and
-// avg_batch_fill (gauge).
-const SnapshotVersion = 2
+// avg_batch_fill (gauge). Version 3 removed partitions_executed with the
+// partition-parallel join executor.
+const SnapshotVersion = 3
 
 // Snapshot is a point-in-time view of one Engine: the cumulative execution
 // counters folded from every run since construction, the cumulative
@@ -39,7 +40,6 @@ type Snapshot struct {
 	IntermediateTuples int64 `json:"intermediate_tuples"`
 	Materializations   int64 `json:"materializations"`
 	OutputTuples       int64 `json:"output_tuples"`
-	PartitionsExecuted int64 `json:"partitions_executed"`
 	// BatchesEmitted counts blocks emitted by producing operators, the
 	// demand-1 blocks of emptiness probes and streams included. Memo replay
 	// and single-flight consumption are excluded, keeping the counter
@@ -95,7 +95,6 @@ func (e *Engine) Snapshot() Snapshot {
 		IntermediateTuples: cum.IntermediateTuples,
 		Materializations:   cum.Materializations,
 		OutputTuples:       cum.OutputTuples,
-		PartitionsExecuted: cum.PartitionsExecuted,
 		BatchesEmitted:     cum.BatchesEmitted,
 
 		CacheHits:              cum.CacheHits,
@@ -136,7 +135,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d.IntermediateTuples -= prev.IntermediateTuples
 	d.Materializations -= prev.Materializations
 	d.OutputTuples -= prev.OutputTuples
-	d.PartitionsExecuted -= prev.PartitionsExecuted
 	// AvgBatchFill is a gauge: Diff keeps the receiver's value.
 	d.BatchesEmitted -= prev.BatchesEmitted
 	d.CacheHits -= prev.CacheHits

@@ -100,7 +100,7 @@ func TestSnapshotJSONKeys(t *testing.T) {
 	for _, key := range []string{
 		`"version"`, `"strategy"`, `"runs"`,
 		`"base_tuples_read"`, `"comparisons"`, `"hash_inserts"`, `"intermediate_tuples"`,
-		`"materializations"`, `"output_tuples"`, `"partitions_executed"`,
+		`"materializations"`, `"output_tuples"`,
 		`"cache_hits"`, `"cache_misses"`, `"cache_tuples_replayed"`, `"cache_tuples_spooled"`,
 		`"cache_single_flight_waits"`, `"cache_duplicates_avoided"`, `"cache_spools_abandoned"`,
 		`"panics_recovered"`, `"limits_tripped"`, `"degraded_evictions"`,

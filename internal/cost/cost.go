@@ -43,10 +43,6 @@ type Model struct {
 	cat *storage.Catalog
 	// distinct caches per-relation, per-column distinct counts.
 	distinct map[string][]float64
-	// parallelism mirrors the executor's partition fan-out: the join
-	// family's build+probe work divides across partitions, at the price of
-	// a sequential scatter pass over both inputs.
-	parallelism float64
 	// batch mirrors the executor's block capacity (SetBatchSize): per-tuple
 	// iteration bookkeeping divides by it, so block execution discounts the
 	// probe schema's bookkeeping share ~1000× at the default capacity.
@@ -61,9 +57,6 @@ const (
 	selNull  = 0.1
 	// joinKeyShare approximates the share of left probes finding a match.
 	joinKeyShare = 0.5
-	// partitionShare is the per-tuple cost of the parallel executor's
-	// scatter pass relative to a build/probe step: a bare hash and append.
-	partitionShare = 0.25
 	// blockOverhead is the iteration bookkeeping a probe step carries —
 	// cancellation poll, fault hook, governor charge — relative to the step
 	// itself. The executor pays it once per block (once per tuple at block
@@ -73,20 +66,10 @@ const (
 	blockOverhead = 0.25
 )
 
-// New builds a model over the catalog for a serial executor at block
-// capacity 1 (bookkeeping paid per tuple) until SetParallelism/SetBatchSize
-// say otherwise.
+// New builds a model over the catalog for an executor at block capacity 1
+// (bookkeeping paid per tuple) until SetBatchSize says otherwise.
 func New(cat *storage.Catalog) *Model {
-	return &Model{cat: cat, distinct: make(map[string][]float64), parallelism: 1, batch: 1}
-}
-
-// SetParallelism tells the model the executor's partition fan-out, so the
-// join family's estimates reflect the divided build+probe work.
-func (m *Model) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	m.parallelism = float64(p)
+	return &Model{cat: cat, distinct: make(map[string][]float64), batch: 1}
 }
 
 // SetBatchSize tells the model the executor's block capacity, amortizing
@@ -306,17 +289,11 @@ func (m *Model) pair(l, r algebra.Plan, seen map[uint64]bool) (Estimate, Estimat
 
 // probeCost is the shared schema of the join family: read both inputs,
 // build on the right, probe once per left tuple (probeShare scales the
-// probed fraction, for the constrained outer-join's gate). Under a
-// partition fan-out the build+probe work divides across partitions after a
-// sequential scatter pass over both inputs.
+// probed fraction, for the constrained outer-join's gate).
 func (m *Model) probeCost(l, r Estimate, probeShare float64) float64 {
 	build, probe := r.Rows, l.Rows*probeShare
 	// Iteration bookkeeping: per block, i.e. divided by the block capacity.
 	keeping := (build + probe) * blockOverhead / m.batch
-	if m.parallelism > 1 {
-		scatter := (l.Rows + r.Rows) * partitionShare
-		return l.Cost + r.Cost + scatter + (build+probe)/m.parallelism + keeping
-	}
 	return l.Cost + r.Cost + build + probe + keeping
 }
 

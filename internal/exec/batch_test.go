@@ -217,44 +217,40 @@ func normalizeBatchStats(s Stats) Stats {
 // TestBatchSizeParity is the cross-capacity property test of DESIGN.md §9:
 // for every plan shape — join family, streaming composites, every blocking
 // operator, a Shared memo spool — block capacities 1, 7 and 1024 must return
-// exactly the reference relation and charge identical logical stats, serial
-// and partition-parallel, memo on and off. The second catalog is larger than
-// the default capacity, so every blocking drain straddles a block boundary
-// at all three capacities.
+// exactly the reference relation and charge identical logical stats, memo
+// on and off. The second catalog is larger than the default capacity, so
+// every blocking drain straddles a block boundary at all three capacities.
 func TestBatchSizeParity(t *testing.T) {
 	for seed, n := range map[int64]int{11: 250, 12: 1100} {
 		cat := randomJoinCatalog(seed, n)
 		for name, plan := range batchParityPlans(cat) {
 			want := refEval(t, cat, plan)
-			for _, par := range []int{1, 4} {
-				for _, withMemo := range []bool{false, true} {
-					var base *Stats
-					for _, bs := range []int{1, 7, 1024} {
-						ctx := NewContext(cat)
-						ctx.Parallelism = par
-						ctx.BatchSize = bs
-						if withMemo {
-							ctx.Memo = NewMemo(0) // cold per run: spool counters stay comparable
-						}
-						got, err := Run(ctx, plan)
-						if err != nil {
-							t.Fatalf("seed %d %s p=%d memo=%v bs=%d: %v", seed, name, par, withMemo, bs, err)
-						}
-						if !got.Equal(want) {
-							t.Errorf("seed %d %s p=%d memo=%v bs=%d: result differs from the reference\ngot %d tuples, want %d",
-								seed, name, par, withMemo, bs, got.Len(), want.Len())
-						}
-						if want.Len() > 0 && ctx.Stats.BatchesEmitted == 0 {
-							t.Errorf("seed %d %s p=%d memo=%v bs=%d: no block was counted",
-								seed, name, par, withMemo, bs)
-						}
-						gotStats := normalizeBatchStats(*ctx.Stats)
-						if base == nil {
-							base = &gotStats
-						} else if gotStats != *base {
-							t.Errorf("seed %d %s p=%d memo=%v: stats diverge between capacities\nbs=%d: %s\nbs=1: %s",
-								seed, name, par, withMemo, bs, gotStats.String(), base.String())
-						}
+			for _, withMemo := range []bool{false, true} {
+				var base *Stats
+				for _, bs := range []int{1, 7, 1024} {
+					ctx := NewContext(cat)
+					ctx.BatchSize = bs
+					if withMemo {
+						ctx.Memo = NewMemo(0) // cold per run: spool counters stay comparable
+					}
+					got, err := Run(ctx, plan)
+					if err != nil {
+						t.Fatalf("seed %d %s memo=%v bs=%d: %v", seed, name, withMemo, bs, err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("seed %d %s memo=%v bs=%d: result differs from the reference\ngot %d tuples, want %d",
+							seed, name, withMemo, bs, got.Len(), want.Len())
+					}
+					if want.Len() > 0 && ctx.Stats.BatchesEmitted == 0 {
+						t.Errorf("seed %d %s memo=%v bs=%d: no block was counted",
+							seed, name, withMemo, bs)
+					}
+					gotStats := normalizeBatchStats(*ctx.Stats)
+					if base == nil {
+						base = &gotStats
+					} else if gotStats != *base {
+						t.Errorf("seed %d %s memo=%v: stats diverge between capacities\nbs=%d: %s\nbs=1: %s",
+							seed, name, withMemo, bs, gotStats.String(), base.String())
 					}
 				}
 			}
@@ -348,11 +344,10 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath for
-// parallel spool producers: the Shared subtree contains a
-// partitioned join, the block size is tiny so the elected producer appends
-// many blocks per spool, and faults strike the append path mid-spool with a
-// concurrent consumer attached. The invariant is unchanged: both runs
+// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath for two
+// executions running in parallel on one memo at a tiny block size: the
+// elected producer appends many blocks per spool, and faults strike the
+// append path mid-spool with the concurrent consumer attached. The invariant is unchanged: both runs
 // terminate, failures are the injected ones, survivors return the baseline,
 // and the same memo afterwards serves a clean run — producer death
 // abandons deterministically and re-elects, never publishing partial blocks.
@@ -384,7 +379,6 @@ func TestChaosBatchParallelProducerDeath(t *testing.T) {
 						ctx := NewContext(cat)
 						ctx.Memo = memo
 						ctx.Faults = fplan
-						ctx.Parallelism = 4
 						ctx.BatchSize = 7 // several appendSpoolBlock calls per spool
 						ctx.CheckInterval = GovernedCheckInterval
 						out, err := Run(ctx, plan)
@@ -401,7 +395,6 @@ func TestChaosBatchParallelProducerDeath(t *testing.T) {
 
 				after := NewContext(cat)
 				after.Memo = memo
-				after.Parallelism = 4
 				after.BatchSize = 7
 				out, err := Run(after, plan)
 				if err != nil {

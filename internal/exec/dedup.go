@@ -5,7 +5,7 @@ import "repro/internal/relation"
 // tupleSet is the deduplication set shared by the projection, union,
 // difference and intersection iterators. It buckets whole tuples by their
 // 64-bit FNV hash (relation.Tuple.Hash) and verifies candidates with Equal,
-// mirroring the HashCols/EqualOn discipline of the partition-parallel joins:
+// mirroring the HashCols/EqualOn discipline of the join family's table:
 // no canonical key string is ever allocated, so membership tests on the hot
 // path cost a hash and a bucket walk instead of two allocations per tuple.
 type tupleSet struct {

@@ -24,14 +24,11 @@ const DefaultCheckInterval = 1024
 // for tuple-bounded limit and cancel latency.
 const GovernedCheckInterval = 64
 
-// maxParallelism caps the partition fan-out of one operator; beyond this the
-// per-partition bookkeeping outweighs any plausible hardware.
-const maxParallelism = 64
-
 // Context carries everything an execution needs: the catalog holding the
 // base relations, the stats record charged by every operator, the tuning
-// knobs (indexes, parallelism) and an optional context.Context whose
-// cancellation every iterator observes.
+// knobs (indexes, block capacity) and an optional context.Context whose
+// cancellation every iterator observes. One execution runs on one
+// goroutine: no operator starts goroutines of its own.
 type Context struct {
 	Catalog *storage.Catalog
 	Stats   *Stats
@@ -42,22 +39,15 @@ type Context struct {
 	// which is what makes the §3.2 emptiness tests terminate after
 	// near-constant work.
 	UseIndexes bool
-	// Parallelism is the partition fan-out of the hash-join family
-	// (⋈, ⋉, ⊼, ⟕, ⟕⊥): build and probe sides are hash-partitioned into
-	// Parallelism disjoint partitions, each run on its own worker with a
-	// private stats shard. Values below 2 select the serial executor.
-	Parallelism int
 	// Memo is the optional result cache consulted by algebra.Shared nodes.
 	// nil makes Shared transparent. The memo is engine-wide and
-	// mutex-guarded: serialChild copies carry it, and fork() keeps it too so
-	// partition worker forks can consult the read side. Memo entries are
+	// mutex-guarded, shared by concurrent executions. Memo entries are
 	// single-flight — concurrent executions that miss the same fingerprint
 	// elect one producer and stream from its in-flight spool (memo.go).
 	Memo *Memo
 	// Gov is the optional per-query resource governor. Every materializing
 	// operator charges it; a budget violation aborts the run with a typed
-	// *ResourceError. The governor is shared by worker forks (its counters
-	// are atomic), so the budget bounds the whole query, not one partition.
+	// *ResourceError.
 	Gov *Governor
 	// Faults is the optional deterministic fault-injection plan consulted at
 	// the registered faultinject points. nil (the production state) reduces
@@ -70,8 +60,8 @@ type Context struct {
 	// tuple-bounded.
 	CheckInterval int
 	// BatchSize is the block capacity Run and every blocking consumer (hash
-	// build, partition drain, dedup/group/materialize buffers) ask their
-	// inputs for; zero or negative selects DefaultBatchSize. Streaming
+	// build, dedup/group/materialize buffers) ask their inputs for; zero or
+	// negative selects DefaultBatchSize. Streaming
 	// operators have no capacity of their own: they pass their consumer's
 	// demand down (see Iterator), so an emptiness probe's single demand-1
 	// pull reads exactly one tuple from each streaming leaf.
@@ -85,10 +75,10 @@ type Context struct {
 	// by Interrupted, a governor budget violation, or an injected fault.
 	// Once set, every later iterator call stops immediately.
 	cancelErr error
-	// execID identifies the execution this context belongs to, across
-	// serialChild copies and worker forks. The memo uses it to keep an
-	// execution from blocking on a single-flight spool its own suspended
-	// producer is filling (which would deadlock one goroutine).
+	// execID identifies the execution this context belongs to. The memo
+	// uses it to keep an execution from blocking on a single-flight spool
+	// its own suspended producer is filling (which would deadlock one
+	// goroutine).
 	execID uint64
 }
 
@@ -214,7 +204,7 @@ func (c *Context) chargeTuple(op string, t relation.Tuple) bool {
 func (c *Context) ChargeTuple(op string, t relation.Tuple) bool { return c.chargeTuple(op, t) }
 
 // chargeBatch accounts a slice of already-buffered tuples in one governor
-// transaction (used by blocking builds that ingest whole partitions).
+// transaction (one drained block, or a buffering operator's output block).
 func (c *Context) chargeBatch(op string, ts []relation.Tuple) bool {
 	if c.Gov == nil || len(ts) == 0 {
 		return true
@@ -230,8 +220,8 @@ func (c *Context) chargeN(op string, n, bytes int64) bool {
 	evicted, err := c.Gov.ChargeBytesN(op, n, bytes)
 	c.Stats.DegradedEvictions += evicted
 	if err != nil {
-		// Charge once per context: sibling workers each record their own
-		// trip, but a context that is already aborting stays quiet.
+		// Charge once per context: a context that is already aborting
+		// stays quiet.
 		if c.cancelErr == nil {
 			c.Stats.LimitsTripped++
 		}
@@ -239,57 +229,6 @@ func (c *Context) chargeN(op string, n, bytes int64) bool {
 		return false
 	}
 	return true
-}
-
-// parallelism returns the effective partition fan-out.
-func (c *Context) parallelism() int {
-	p := c.Parallelism
-	if p < 1 {
-		return 1
-	}
-	if p > maxParallelism {
-		return maxParallelism
-	}
-	return p
-}
-
-// fork clones the context for one parallel worker: same catalog, flags,
-// cancellation source, execution identity and (mutex-guarded) memo, but a
-// private stats shard and poll state, so workers charge their work without
-// locks.
-func (c *Context) fork() *Context {
-	return &Context{
-		Catalog:       c.Catalog,
-		Stats:         &Stats{},
-		UseIndexes:    c.UseIndexes,
-		goCtx:         c.goCtx,
-		Memo:          c.Memo,
-		Gov:           c.Gov,
-		Faults:        c.Faults,
-		CheckInterval: c.CheckInterval,
-		BatchSize:     c.BatchSize,
-		execID:        c.execID,
-	}
-}
-
-// absorb merges a worker context back into c after the worker has finished:
-// the stats shard is added (single-threaded, after the WaitGroup barrier)
-// and any observed cancellation becomes sticky on c.
-func (c *Context) absorb(w *Context) {
-	c.Stats.Add(*w.Stats)
-	if c.cancelErr == nil && w.cancelErr != nil {
-		c.cancelErr = w.cancelErr
-	}
-}
-
-// serialChild returns a copy of the context with parallelism disabled but
-// the same stats record and cancellation source. Emptiness probes (§3.2)
-// use it: their early termination after one tuple would be destroyed by the
-// partitioned executor's blocking build.
-func (c *Context) serialChild() *Context {
-	child := *c
-	child.Parallelism = 1
-	return &child
 }
 
 // DefaultBatchSize is the block capacity used when the context does not
@@ -331,8 +270,7 @@ type Batch struct {
 //
 // Demand: the consumer decides max. Run and every blocking consumer ask for
 // Context.blockSize(); streaming operators (scan, select, project, union,
-// the probe side of the join family, the memo, the parallel join's output
-// slicing) pass their own consumer's max straight down. Early termination is
+// the probe side of the join family, the memo) pass their own consumer's max straight down. Early termination is
 // therefore not a second engine but demand 1: an emptiness probe pulls one
 // block of max 1 and reads exactly the tuples a tuple-at-a-time pipeline
 // would, while the blocking drains below it still move full blocks.
@@ -342,7 +280,7 @@ type Batch struct {
 // Batch struct and (for buffering operators) its backing slice. The tuples
 // themselves are immutable once emitted, so retaining a tuple is always
 // safe; retaining the slice is not. Zero-copy emitters (scan, materialize,
-// the parallel join's partition outputs, memo replay) return stable views,
+// memo replay) return stable views,
 // but consumers must not rely on that.
 //
 // Per-tuple bookkeeping — context polls, fireFault hooks, governor charges —
@@ -544,19 +482,17 @@ func EvalBool(ctx *Context, p algebra.BoolPlan) (bool, error) {
 	}
 }
 
-// probeNonEmpty opens the plan and pulls one block of demand 1. It always
-// runs serially: the partitioned executor's blocking partition phase would
-// trade the §3.2 near-constant emptiness test for a full drain.
+// probeNonEmpty opens the plan and pulls one block of demand 1: streaming
+// operators read exactly one tuple from each leaf (§3.2).
 func probeNonEmpty(ctx *Context, p algebra.Plan) (bool, error) {
-	serial := ctx.serialChild()
-	it, err := Build(serial, p)
+	it, err := Build(ctx, p)
 	if err != nil {
 		return false, err
 	}
 	it.Open()
 	defer it.Close()
 	_, ok := it.NextBatch(1)
-	if err := serial.CancelErr(); err != nil {
+	if err := ctx.CancelErr(); err != nil {
 		return false, err
 	}
 	return ok, nil

@@ -10,16 +10,16 @@ import (
 // This file implements the per-query resource governor. Every operator that
 // buffers tuples — hash-join build tables, explicit materializations, dedup
 // sets, cartesian-product buffers, division and aggregate groupings, memo
-// spools, partition scatter buffers and the root result — charges the
+// spools and the root result — charges the
 // governor as it allocates. A query that exceeds its tuple or memory budget
 // aborts with a typed *ResourceError naming the limit and the operator that
 // tripped it, instead of exhausting the process: the enforcement-layer
 // counterpart of the paper's plan-shape discipline, which avoids unbounded
 // intermediates by construction but cannot bound a hostile query's output.
 //
-// Counters are atomic so partitioned workers charge the shared governor
-// lock-free; with no governor installed every charge site is a single nil
-// pointer check.
+// Counters are atomic, so a governor may be shared by concurrent executions
+// and charged lock-free; with no governor installed every charge site is a
+// single nil pointer check.
 
 // ResourceError reports a query aborted for exceeding a resource budget.
 // Limit names the budget ("tuples" or "memory"), Operator the
@@ -40,16 +40,16 @@ func (e *ResourceError) Error() string {
 		e.Limit, e.Operator, e.Used, e.Budget, unit)
 }
 
-// Governor enforces per-query resource budgets. One governor is shared by
-// the root context and all its worker forks; it is safe for concurrent use.
+// Governor enforces per-query resource budgets. It is safe for concurrent
+// use.
 type Governor struct {
 	tupleLimit int64 // 0 = unlimited
 	memBudget  int64 // estimated bytes; 0 = unlimited
 
 	tuples atomic.Int64
 	bytes  atomic.Int64
-	// tripped pins the first budget violation so every later charge — on any
-	// worker — fails fast with the same error.
+	// tripped pins the first budget violation so every later charge fails
+	// fast with the same error.
 	tripped atomic.Pointer[ResourceError]
 	// memo, when attached, is shed under memory pressure before the query is
 	// failed: warm cache entries are the one materialization the engine can
@@ -127,8 +127,8 @@ func (g *Governor) charge(op string, n, b int64) (evicted int64, err error) {
 // ChargeTuples bulk-charges n tuples materialized by op with no byte
 // estimate, in one atomic transaction. It is the executor's amortized
 // entry point — one call per block instead of one per tuple — and keeps the
-// pinned-first *ResourceError semantics: the first violation on any worker
-// is the one every later charge reports. A bulk charge can overshoot the
+// pinned-first *ResourceError semantics: the first violation is the one
+// every later charge reports. A bulk charge can overshoot the
 // budget by at most one block before tripping, which the budget's
 // order-of-magnitude contract tolerates.
 func (g *Governor) ChargeTuples(op string, n int64) (evicted int64, err error) {
@@ -143,7 +143,7 @@ func (g *Governor) ChargeBytesN(op string, n, bytes int64) (evicted int64, err e
 }
 
 // trip pins the first violation; concurrent trippers all report the winner
-// so every worker of one query fails with the same typed error.
+// so every charger of one governor fails with the same typed error.
 func (g *Governor) trip(e *ResourceError) *ResourceError {
 	if g.tripped.CompareAndSwap(nil, e) {
 		return e

@@ -85,22 +85,42 @@ func TestGovernorGenerousBudgetIsTransparent(t *testing.T) {
 	}
 }
 
+// TestGovernorParallelRunAborts runs four joins in parallel against one
+// governor whose budget none of them fits: every run aborts with the same
+// pinned *ResourceError.
 func TestGovernorParallelRunAborts(t *testing.T) {
 	cat := randomJoinCatalog(4, 400)
 	plan := &algebra.Join{Left: scan(cat, "R"), Right: scan(cat, "S"),
 		On: []algebra.ColPair{{Left: 1, Right: 0}}}
-	ctx := NewContext(cat)
-	ctx.Parallelism = 4
-	ctx.Gov = NewGovernor(100, 0)
-	_, err := Run(ctx, plan)
-	var re *ResourceError
-	if !errors.As(err, &re) {
-		t.Fatalf("parallel governed run: err = %v, want *ResourceError", err)
+	gov := NewGovernor(100, 0)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := NewContext(cat)
+			ctx.Gov = gov
+			_, errs[g] = Run(ctx, plan)
+		}()
+	}
+	wg.Wait()
+	var first *ResourceError
+	for g, err := range errs {
+		var re *ResourceError
+		if !errors.As(err, &re) {
+			t.Fatalf("run %d: err = %v, want *ResourceError", g, err)
+		}
+		if first == nil {
+			first = re
+		} else if re != first {
+			t.Errorf("run %d reported %v, want the pinned %v", g, re, first)
+		}
 	}
 }
 
 // TestGovernorConcurrentCharges drives one governor from several goroutines
-// (the partition-worker sharing pattern) and checks the budget is enforced
+// and checks the budget is enforced
 // exactly once and every loser observes the same pinned violation.
 func TestGovernorConcurrentCharges(t *testing.T) {
 	gov := NewGovernor(1000, 0)

@@ -11,7 +11,7 @@ import (
 // (scan, select, project, union), which pass their consumer's demand down,
 // and the blocking ones (product, ∖/∩, ÷, group-count, materialize), which
 // drain an input in full-capacity blocks at Open. The join family lives in
-// join.go and parallel.go, the memo spool in memo.go.
+// join.go, the memo spool in memo.go.
 
 // sizeHinter is implemented by iterators that can cheaply bound how many
 // tuples they will produce. Buffers are pre-sized from the hint; it is never
@@ -560,8 +560,9 @@ func (it *materializeIter) NextBatch(max int) (*Batch, bool) {
 func (it *materializeIter) Close() { it.in.Close() }
 
 // Before Open the bound is the child's; after Open the buffer is exact.
-// drainPartitions calls hintOf before Open, so propagating the child's hint
-// is what keeps hints alive across materialization boundaries.
+// A memo producer presizes its spool from hintOf before opening its input,
+// so propagating the child's hint keeps hints alive across materialization
+// boundaries.
 func (it *materializeIter) sizeHint() int {
 	if it.buf != nil {
 		return it.buf.Len()

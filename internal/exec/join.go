@@ -5,14 +5,12 @@ import (
 	"repro/internal/relation"
 )
 
-// This file implements the hash-join family (⋈, ⋉, ⊼, ⟕, ⟕⊥): a serial
-// join whose build side is a hash-chained table (64-bit HashCols keys,
+// This file implements the hash-join family (⋈, ⋉, ⊼, ⟕, ⟕⊥): one join
+// iterator whose probing side is a hash-chained table (64-bit HashCols keys,
 // EqualOn verification — no per-probe key allocations) or a persistent
-// catalog index, and the strategy choice between it and the
-// partition-parallel executor of parallel.go. Serial and parallel runs of
-// one plan charge identical stats, test-enforced: one HashInsert and one
-// IntermediateTuple per build tuple, one Comparison per probe, residual
-// comparisons per examined pair.
+// catalog index. It charges one HashInsert and one IntermediateTuple per
+// build tuple, one Comparison per probe, residual comparisons per examined
+// pair.
 
 // joinKind names the member of the join family being executed.
 type joinKind int
@@ -45,21 +43,19 @@ func splitPairs(on []algebra.ColPair) (left, right []int) {
 	return left, right
 }
 
-// keyed pairs a tuple with the hash of its join columns, computed once —
-// while draining the build side, or during partitioning — and reused for the
-// table insert or probe.
+// keyed pairs a build tuple with the hash of its join columns, computed
+// once while draining the build side.
 type keyed struct {
 	t relation.Tuple
 	h uint64
 }
 
-// chainedTable is the join family's one build table, serial and per
-// partition: build tuples with equal 64-bit key hashes are chained through a
+// chainedTable is the join family's one build table: build tuples with equal 64-bit key hashes are chained through a
 // flat next-index slice — head holds 1-based indexes into entries (0 is "no
 // entry", which makes the missing-key lookup free), next[i] links entry i to
 // the previous entry with its hash. Two allocations total, no tuple is moved
 // or copied, unlike a map[hash][]Tuple whose per-bucket slices dominate the
-// build's allocation profile. It implements prober, so the serial join runs
+// build's allocation profile. It implements prober, so the join runs
 // unchanged over a persistent catalog index instead.
 type chainedTable struct {
 	cols    []int
@@ -69,8 +65,18 @@ type chainedTable struct {
 	scratch []relation.Tuple
 }
 
-// newChainedTable indexes already hashed build tuples on their key columns.
-func newChainedTable(entries []keyed, keyCols []int) *chainedTable {
+// buildChainedTable drains the right input in full-capacity blocks, charging
+// the governor once per block ("join-build") and the stats per build tuple,
+// and indexes the hashed build tuples on their key columns.
+func buildChainedTable(ctx *Context, in Iterator, keyCols []int) *chainedTable {
+	var entries []keyed
+	ctx.drain(in, "join-build", func(ts []relation.Tuple) {
+		for _, t := range ts {
+			entries = append(entries, keyed{t: t, h: t.HashCols(keyCols)})
+		}
+		ctx.Stats.HashInserts += int64(len(ts))
+		ctx.Stats.IntermediateTuples += int64(len(ts))
+	})
 	h := &chainedTable{
 		cols:    keyCols,
 		entries: entries,
@@ -84,35 +90,15 @@ func newChainedTable(entries []keyed, keyCols []int) *chainedTable {
 	return h
 }
 
-// buildChainedTable drains the right input in full-capacity blocks, charging
-// the governor once per block ("join-build") and the stats per build tuple.
-func buildChainedTable(ctx *Context, in Iterator, keyCols []int) *chainedTable {
-	var entries []keyed
-	ctx.drain(in, "join-build", func(ts []relation.Tuple) {
-		for _, t := range ts {
-			entries = append(entries, keyed{t: t, h: t.HashCols(keyCols)})
-		}
-		ctx.Stats.HashInserts += int64(len(ts))
-		ctx.Stats.IntermediateTuples += int64(len(ts))
-	})
-	return newChainedTable(entries, keyCols)
-}
-
 // probe returns the build tuples whose key columns equal the left tuple's,
-// charging one comparison for the lookup.
+// charging one comparison for the lookup. Hash chains may hold colliding
+// keys, so candidates are verified with EqualOn. The chain links
+// newest-first; scratch reverses it back to build order. The returned slice
+// is scratch: valid until the next probe.
 func (h *chainedTable) probe(ctx *Context, t relation.Tuple, keyCols []int) []relation.Tuple {
-	return h.probeHash(ctx, t, t.HashCols(keyCols), keyCols)
-}
-
-// probeHash is probe for a caller that already hashed the left tuple's key
-// columns. Hash chains may hold colliding keys, so candidates are verified
-// with EqualOn. The chain links newest-first; scratch reverses it back to
-// build order so emission order is the same serial and partitioned. The
-// returned slice is scratch: valid until the next probe.
-func (h *chainedTable) probeHash(ctx *Context, t relation.Tuple, hash uint64, keyCols []int) []relation.Tuple {
 	ctx.Stats.Comparisons++
 	h.scratch = h.scratch[:0]
-	for j := h.head[hash]; j != 0; j = h.next[j-1] {
+	for j := h.head[t.HashCols(keyCols)]; j != 0; j = h.next[j-1] {
 		if e := h.entries[j-1]; t.EqualOn(keyCols, e.t, h.cols) {
 			//lint:ignore govcharge transient probe scratch aliasing build tuples already charged at build time, reset per probe
 			h.scratch = append(h.scratch, e.t)
@@ -124,10 +110,9 @@ func (h *chainedTable) probeHash(ctx *Context, t relation.Tuple, hash uint64, ke
 	return h.scratch
 }
 
-// joinIter executes every serial join-family member: pull left tuples at the
+// joinIter executes every join-family member: pull left tuples at the
 // consumer's demand, probe each, densify the outputs into blocks of that
-// demand. One iterator covers all five kinds — the per-kind emission logic
-// mirrors runPartition tuple for tuple. The probing side is realized at
+// demand. One iterator covers all five kinds. The probing side is realized at
 // Open: a persistent catalog index (index != nil, no build cost — what §3.2
 // emptiness tests rely on) or a chained table built from the right input.
 type joinIter struct {
@@ -240,10 +225,9 @@ func (it *joinIter) Close() {
 	}
 }
 
-// buildJoinLike picks the execution strategy for a join-family node, in
-// order of preference: a persistent catalog index (UseIndexes and an
-// indexable right side), the partition-parallel executor (Parallelism ≥ 2),
-// else the serial chained table.
+// buildJoinLike picks the probing side of a join-family node: a persistent
+// catalog index (UseIndexes and an indexable right side), else a chained
+// table built from the right input.
 func buildJoinLike(ctx *Context, spec joinSpec) (Iterator, error) {
 	lk, rk := splitPairs(spec.on)
 	l, err := Build(ctx, spec.left)
@@ -258,9 +242,6 @@ func buildJoinLike(ctx *Context, spec joinSpec) (Iterator, error) {
 	r, err := Build(ctx, spec.right)
 	if err != nil {
 		return nil, err
-	}
-	if ctx.parallelism() > 1 {
-		return &parallelJoinIter{ctx: ctx, spec: spec, left: l, right: r, lk: lk, rk: rk}, nil
 	}
 	return &joinIter{ctx: ctx, spec: spec, left: cursor{in: l}, right: r, lk: lk, rk: rk}, nil
 }

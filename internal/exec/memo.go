@@ -90,10 +90,9 @@ const (
 )
 
 // Memo is a bounded, generation-invalidated result cache keyed by plan
-// fingerprint, shared by every execution on one engine (the root context,
-// its serial children, and — read-side — partition worker forks). All state
-// is guarded by one mutex; consumers blocked on an in-flight spool wait on
-// a per-entry channel, never on the mutex.
+// fingerprint, shared by every execution on one engine. All state is
+// guarded by one mutex; consumers blocked on an in-flight spool wait on a
+// per-entry channel, never on the mutex.
 type Memo struct {
 	mu      sync.Mutex
 	budget  int
@@ -532,10 +531,7 @@ const (
 // hash builds that a replay makes unnecessary. It spools, replays and
 // consumes blocks of its consumer's demand: the producer appends one block
 // per entry-lock acquisition (appendSpoolBlock) and consumers drain as many
-// published tuples as fit the demand per wait (consumeWaitBlock). With a
-// parallelJoinIter input, the elected producer streams partition outputs
-// into the shared spool as each partition worker finishes — the partition
-// workers fill the spool in parallel, in deterministic partition-index order.
+// published tuples as fit the demand per wait (consumeWaitBlock).
 type memoIter struct {
 	ctx *Context
 	in  Iterator

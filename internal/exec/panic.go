@@ -5,8 +5,8 @@ import (
 	"runtime/debug"
 )
 
-// PanicError is a panic recovered at an isolation boundary (a partition
-// worker, or an engine entry point) converted into an error value. Origin
+// PanicError is a panic recovered at an isolation boundary (an engine entry
+// point) converted into an error value. Origin
 // names the boundary that recovered it; Stack is the panicking goroutine's
 // stack, captured at recovery.
 type PanicError struct {
@@ -20,8 +20,8 @@ func (e *PanicError) Error() string {
 }
 
 // CapturePanic normalizes a recover() value into a *PanicError. A value
-// that already is one (a worker panic re-surfaced through a second
-// boundary) passes through unchanged, keeping the original origin and
+// that already is one (a panic re-surfaced through a second boundary)
+// passes through unchanged, keeping the original origin and
 // stack.
 func CapturePanic(r any, origin string) *PanicError {
 	if pe, ok := r.(*PanicError); ok {

@@ -10,44 +10,6 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestWorkerPanicSurfacesAfterAbsorb pins the satellite fix for the worker
-// crash: a panic on a partition-worker goroutine is captured, every worker's
-// stats shard is absorbed, and the panic re-surfaces as a *PanicError on the
-// merging goroutine (where the engine's boundary can convert it) — instead
-// of killing the process from an unrecoverable goroutine.
-func TestWorkerPanicSurfacesAfterAbsorb(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	cat := randomJoinCatalog(1, 300)
-	plan := &algebra.Join{Left: scan(cat, "R"), Right: scan(cat, "S"),
-		On: []algebra.ColPair{{Left: 1, Right: 0}}}
-	ctx := NewContext(cat)
-	ctx.Parallelism = 4
-	ctx.Faults = faultinject.New(faultinject.Arm{Point: faultinject.PointWorker, Kind: faultinject.KindPanic})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("worker panic did not re-surface on the merging goroutine")
-		}
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T, want *PanicError", r)
-		}
-		if pe.Origin != "partition-worker" {
-			t.Fatalf("origin = %q, want partition-worker", pe.Origin)
-		}
-		if len(pe.Stack) == 0 {
-			t.Error("captured panic has no stack")
-		}
-		// All four workers ran and their shards were absorbed before the
-		// re-panic: the panicking worker dies first, not the whole phase.
-		if ctx.Stats.PartitionsExecuted != 4 {
-			t.Errorf("PartitionsExecuted = %d, want 4 (shards absorbed before re-panic)",
-				ctx.Stats.PartitionsExecuted)
-		}
-	}()
-	Run(ctx, plan)
-}
-
 // TestMemoMidSpoolCancelNotPublished aborts a Shared drain mid-spool via
 // context cancellation and checks the entry is never published truncated,
 // the next evaluation re-spools, and the hit/miss/spool counters stay

@@ -27,9 +27,6 @@ type Stats struct {
 	Materializations int64
 	// OutputTuples counts tuples delivered at the plan root.
 	OutputTuples int64
-	// PartitionsExecuted counts hash partitions run by the partition-parallel
-	// join executor (0 for a fully serial run).
-	PartitionsExecuted int64
 	// CacheHits counts Shared-node evaluations answered from the plan-cache
 	// memo; CacheMisses counts the ones that had to run their subtree.
 	CacheHits   int64
@@ -64,10 +61,10 @@ type Stats struct {
 	// BatchTuples/BatchesEmitted is the average block fill.
 	BatchTuples int64
 	// PanicsRecovered counts panics converted to errors at isolation
-	// boundaries (partition workers, engine entry points).
+	// boundaries (engine entry points).
 	PanicsRecovered int64
 	// LimitsTripped counts governor budget violations observed by this
-	// context (at most one per context; worker shards each record their own).
+	// context (at most one per context).
 	LimitsTripped int64
 	// DegradedEvictions counts memo entries shed under memory pressure to
 	// keep the query under its budget (graceful degradation).
@@ -82,7 +79,6 @@ func (s *Stats) Add(o Stats) {
 	s.IntermediateTuples += o.IntermediateTuples
 	s.Materializations += o.Materializations
 	s.OutputTuples += o.OutputTuples
-	s.PartitionsExecuted += o.PartitionsExecuted
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheTuplesReplayed += o.CacheTuplesReplayed
@@ -97,15 +93,11 @@ func (s *Stats) Add(o Stats) {
 	s.DegradedEvictions += o.DegradedEvictions
 }
 
-// String renders the counters on one line. The partition counter is only
-// shown when the parallel executor ran, keeping serial output stable.
+// String renders the counters on one line.
 func (s *Stats) String() string {
 	base := fmt.Sprintf("read=%d cmp=%d hash=%d interm=%d mat=%d out=%d",
 		s.BaseTuplesRead, s.Comparisons, s.HashInserts, s.IntermediateTuples,
 		s.Materializations, s.OutputTuples)
-	if s.PartitionsExecuted > 0 {
-		base += fmt.Sprintf(" part=%d", s.PartitionsExecuted)
-	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		base += fmt.Sprintf(" chit=%d cmiss=%d creplay=%d cspool=%d",
 			s.CacheHits, s.CacheMisses, s.CacheTuplesReplayed, s.CacheTuplesSpooled)

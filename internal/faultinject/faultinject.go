@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic fault injection for the
 // executor's robustness tests. Code under test registers named injection
-// points (iterator open/next, partition workers, memo publication, catalog
+// points (iterator open/next, memo election/append/publication, catalog
 // lookups); a Plan arms a subset of those points to return an error, panic,
 // or delay on a chosen invocation. Plans are deterministic: the same arms
 // (or the same Seeded seed) produce the same faults at the same points, so
@@ -59,8 +59,6 @@ const (
 	// PointIterNext fires on every base-relation scan NextBatch call (once
 	// per block: per tuple only under demand 1).
 	PointIterNext = "iter.next"
-	// PointWorker fires at the start of each partition worker.
-	PointWorker = "worker.run"
 	// PointMemoPublish fires just before a completely drained spool is
 	// published into the plan-cache memo.
 	PointMemoPublish = "memo.publish"
@@ -87,7 +85,7 @@ const (
 
 // Points returns the registered injection point names.
 func Points() []string {
-	return []string{PointIterOpen, PointIterNext, PointWorker, PointMemoPublish, PointCatalogLookup, PointMemoElect, PointMemoAppend}
+	return []string{PointIterOpen, PointIterNext, PointMemoPublish, PointCatalogLookup, PointMemoElect, PointMemoAppend}
 }
 
 // ServicePoints returns the service-tier injection point names. They are

@@ -39,17 +39,17 @@ func TestErrorArmFiresExactlyOnce(t *testing.T) {
 }
 
 func TestPanicArm(t *testing.T) {
-	p := New(Arm{Point: PointWorker, Kind: KindPanic})
+	p := New(Arm{Point: PointIterNext, Kind: KindPanic})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic arm did not panic")
 		}
 		// After firing, the point is inert.
-		if err := p.Invoke(PointWorker); err != nil {
+		if err := p.Invoke(PointIterNext); err != nil {
 			t.Fatalf("fired panic arm returned error on re-invoke: %v", err)
 		}
 	}()
-	p.Invoke(PointWorker)
+	p.Invoke(PointIterNext)
 }
 
 func TestDelayArmSleepsAndReturnsNil(t *testing.T) {
@@ -96,7 +96,7 @@ func TestSeededCoversAllPointsAndKinds(t *testing.T) {
 }
 
 func TestConcurrentInvokeFiresOnce(t *testing.T) {
-	p := New(Arm{Point: PointWorker, Kind: KindError, After: 8})
+	p := New(Arm{Point: PointIterNext, Kind: KindError, After: 8})
 	var mu sync.Mutex
 	var fired int
 	var wg sync.WaitGroup
@@ -105,7 +105,7 @@ func TestConcurrentInvokeFiresOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := p.Invoke(PointWorker); err != nil {
+				if err := p.Invoke(PointIterNext); err != nil {
 					mu.Lock()
 					fired++
 					mu.Unlock()

@@ -1,10 +1,10 @@
 package relation
 
-// This file provides the allocation-free hashing primitives the partitioned
-// executor builds on. Tuple.Key() produces a canonical string — convenient
-// for Go maps but it allocates twice per tuple (the projected subtuple and
-// the key string). The partition-parallel hash joins instead hash the key
-// columns in place into a 64-bit value and verify candidate matches with
+// This file provides the allocation-free hashing primitives the executor
+// builds on. Tuple.Key() produces a canonical string — convenient for Go
+// maps but it allocates twice per tuple (the projected subtuple and the key
+// string). The hash joins and dedup sets instead hash the key columns in
+// place into a 64-bit value and verify candidate matches with
 // EqualOn, so the hot build/probe loops allocate nothing.
 
 // FNV-1a 64-bit parameters.

@@ -35,6 +35,16 @@ func NewUnnamed(schema Schema) *Relation { return New("", schema) }
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
 
+// Relabel gives the relation a fresh schema with the given column names,
+// keeping its tuples. The old schema slice is left untouched, so a schema
+// shared with a plan is never mutated. It panics on an arity mismatch.
+func (r *Relation) Relabel(names ...string) {
+	if len(names) != len(r.schema) {
+		panic(fmt.Sprintf("relation: relabeling %d-ary relation %q with %d names", len(r.schema), r.Name, len(names)))
+	}
+	r.schema = NewSchema(names...)
+}
+
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return len(r.schema) }
 

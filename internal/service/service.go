@@ -95,7 +95,7 @@ type Config struct {
 	// (DefaultRecent when 0; negative keeps no records).
 	Recent int
 	// EngineOptions are base options applied to every tenant engine before
-	// the tenant's budgets and extras — e.g. core.WithParallelism,
+	// the tenant's budgets and extras — e.g. core.WithIndexes,
 	// core.WithPlanCache.
 	EngineOptions []core.Option
 

@@ -269,6 +269,32 @@ func TestHTTPQueryAndAuth(t *testing.T) {
 	}
 }
 
+// TestHTTPColumnsAreQueryVariables: the response's columns name the query's
+// head variables in head order, not the attributes of the base relations the
+// answer was read from.
+func TestHTTPColumnsAreQueryVariables(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	s := newTestServer(t, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp := postQuery(t, srv.URL, "k-acme", `{ what, who | attends(who, what) and student(who) }`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("want 200, got %d", resp.StatusCode)
+	}
+	var qr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if len(qr.Columns) != 2 || qr.Columns[0] != "what" || qr.Columns[1] != "who" {
+		t.Fatalf("columns = %q, want [what who]", qr.Columns)
+	}
+	if len(qr.Rows) != 2 || qr.Rows[0][0] != "db101" {
+		t.Fatalf("unexpected answer: %+v", qr.Rows)
+	}
+}
+
 // TestClosedQueryOverHTTP checks the truth-valued path keeps its shape:
 // no rows, a truth field, and the canonical form of the sentence.
 func TestClosedQueryOverHTTP(t *testing.T) {

@@ -32,8 +32,8 @@ type TenantConfig struct {
 	// with a typed *ShedError before they ever queue. 0 = unbounded.
 	RatePerSec float64
 	// Options are extra engine options applied after the server-wide ones
-	// and the budget options (so a tenant can override parallelism or
-	// strategy).
+	// and the budget options (so a tenant can override the block capacity
+	// or strategy).
 	Options []core.Option
 }
 

@@ -6,9 +6,10 @@
 #                              # one-shot benchmark smoke + counter gate,
 #                              # overload load-test smoke (queryd + queryload)
 #
-# The race pass covers the packages with real concurrency: the partitioned
-# executor (internal/exec), the engine API that drives it with contexts and
-# timeouts (internal/core), the optimizer whose plan cache is shared across
+# The race pass covers the packages with real concurrency: the executor
+# (internal/exec), whose plan-cache memo is shared by concurrent queries
+# through its cross-query single-flight, the engine API that drives it with
+# contexts and timeouts (internal/core), the optimizer whose plan cache is shared across
 # goroutines (internal/planopt), constraint checking over live engines
 # (internal/integrity), and the multi-tenant service tier with its batcher
 # and request-level single-flight (internal/service).
