@@ -20,12 +20,9 @@ test:
 
 ## lint: the repo's own invariant checkers (internal/analyzers via
 ## cmd/lintrepro) — iterator lifecycle, governor accounting, error
-## taxonomy, context discipline, goroutine lifecycle, lock release,
-## atomic exclusivity, clock injection, wire-schema drift. Non-zero exit
-## on any finding; -timing prints per-pass wall clock for the check.sh
-## lint budget.
+## taxonomy, wire-schema drift. Non-zero exit on any finding.
 lint:
-	$(GO) run ./cmd/lintrepro -timing ./...
+	$(GO) run ./cmd/lintrepro ./...
 
 ## race: race-detector pass over the concurrent packages
 race:

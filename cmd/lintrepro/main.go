@@ -1,38 +1,20 @@
 // Command lintrepro is the repository's invariant multichecker: it runs
 // the internal/analyzers suite (iterclose, govcharge, errtaxonomy,
-// ctxfirst, goroleak, lockdiscipline, atomicmix, timeinject, wiredrift)
-// over Go packages and exits non-zero on findings.
+// wiredrift) over Go packages and exits non-zero on findings.
 //
-// Two modes:
+//	lintrepro [-only a,b] [-list] [packages...]   # defaults to ./...
 //
-//	lintrepro [-only a,b] [-timing] [packages...]   # standalone; defaults to ./...
-//	go vet -vettool=$(which lintrepro) ./...
-//
-// -timing prints each pass's cumulative wall clock across all packages to
-// stderr after the run, so check.sh can keep the lint budget honest as the
-// suite grows.
-//
-// The vettool mode implements the go vet unit-checker protocol: go vet
-// invokes the tool once per package with a JSON config file (*.cfg) naming
-// the sources and the export data of every dependency, and once with
-// -V=full to fingerprint the tool for caching. Findings print as
-// file:line:col: analyzer: message on stderr, matching go vet's own
-// format, so editors and CI parse both modes identically.
+// Findings print as file:line:col: analyzer: message on stderr, matching
+// go vet's own format, so editors and CI parse them the same way. Exit
+// status is 0 on a clean run, 1 on findings, 2 on usage or load errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/analyzers"
 )
@@ -42,25 +24,9 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet probes the tool's identity and flag surface before first use.
-	// The version line must carry a buildID the go command can cache on; a
-	// content hash of the executable serves, matching x/tools' unitchecker.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full") {
-		fmt.Printf("lintrepro version devel buildID=%s\n", selfID())
-		return 0
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Println("[]") // no tool-specific flags in vettool mode
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetTool(args[0])
-	}
-
 	fs := flag.NewFlagSet("lintrepro", flag.ExitOnError)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	timing := fs.Bool("timing", false, "print per-analyzer wall-clock totals after the run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,13 +50,9 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "lintrepro:", err)
 		return 2
 	}
-	var timings map[string]time.Duration
-	if *timing {
-		timings = make(map[string]time.Duration)
-	}
 	findings := 0
 	for _, pkg := range pkgs {
-		diags, err := analyzers.CheckPackageTimed(pkg, suite, timings)
+		diags, err := analyzers.CheckPackage(pkg, suite)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lintrepro:", err)
 			return 2
@@ -100,38 +62,11 @@ func run(args []string) int {
 			findings++
 		}
 	}
-	if *timing {
-		var total time.Duration
-		for _, a := range suite {
-			fmt.Fprintf(os.Stderr, "lintrepro: timing %-14s %8.1fms\n", a.Name, float64(timings[a.Name].Microseconds())/1000)
-			total += timings[a.Name]
-		}
-		fmt.Fprintf(os.Stderr, "lintrepro: timing %-14s %8.1fms over %d package(s)\n", "total", float64(total.Microseconds())/1000, len(pkgs))
-	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "lintrepro: %d finding(s)\n", findings)
 		return 1
 	}
 	return 0
-}
-
-// selfID hashes the running executable so go vet's action cache
-// invalidates when the tool is rebuilt.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func selectAnalyzers(only string) ([]*analyzers.Analyzer, error) {
@@ -167,93 +102,4 @@ func relativize(d analyzers.Diagnostic) string {
 		}
 	}
 	return d.String()
-}
-
-// vetConfig mirrors the JSON the go command hands a -vettool per package
-// (cmd/go's vet action). Only the fields the suite needs are decoded.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetTool analyzes one package under the go vet protocol.
-func runVetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lintrepro:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "lintrepro: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The facts file must exist even though this suite exports none:
-	// go vet feeds it to dependent packages' runs.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "lintrepro:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The production-invariant suite skips test scaffolding.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "lintrepro:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	pkg, err := analyzers.TypeCheckFiles(cfg.ImportPath, fset, files, func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "lintrepro:", err)
-		return 2
-	}
-	diags, err := analyzers.CheckPackage(pkg, analyzers.All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lintrepro:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -1,31 +1,19 @@
 // Package analyzers is an invariant-enforcing static-analysis suite for
 // this repository, in the mold of golang.org/x/tools/go/analysis but built
 // on the standard library alone (the build environment is hermetic: no
-// module downloads). It ships nine passes that machine-check contracts the
-// engine's correctness rests on:
+// module downloads). It ships four passes that machine-check contracts the
+// engine's correctness rests on, each one a bug class the tests do not
+// catch (DESIGN.md §7 records the mutation that shows it):
 //
-//   - iterclose      — exec.Iterator implementations propagate Close to
-//     every child iterator / spool field, and call sites that obtain an
-//     iterator close it (or hand it off);
-//   - govcharge      — materialization points (tuple-slice appends, build
-//     and dedup table inserts) sit in functions that charge the resource
+//   - iterclose   — exec.Iterator implementations propagate Close to every
+//     child iterator / spool field, and call sites that obtain an iterator
+//     close it (or hand it off);
+//   - govcharge   — materialization points (tuple-slice appends, build and
+//     dedup table inserts) sit in functions that charge the resource
 //     governor (the PR 3 accounting contract);
-//   - errtaxonomy    — packages that define a typed error family only let
-//     the family escape their exported functions, and error wrapping uses
-//     %w;
-//   - ctxfirst       — exported APIs take context.Context first, and
-//     context.Background/TODO stay out of library code;
-//   - goroleak       — every go statement outside package main is tied to a
-//     lifecycle: a WaitGroup Done, a quit/done channel, or a context
-//     cancellation path reachable from the spawned function;
-//   - lockdiscipline — a Lock/RLock is released on every return path
-//     (defer, or an unlock before each return), and no call chain re-locks
-//     the mutex it already holds;
-//   - atomicmix      — a struct field accessed through sync/atomic anywhere
-//     is accessed only through sync/atomic, never by plain reads/writes;
-//   - timeinject     — clock-injected state machines (types whose methods
-//     take `now time.Time`) never read the wall clock themselves;
-//   - wiredrift      — the JSON wire schema served by /stats (core.Snapshot
+//   - errtaxonomy — packages that define a typed error family only let the
+//     family escape their exported functions, and error wrapping uses %w;
+//   - wiredrift   — the JSON wire schema served by /stats (core.Snapshot
 //     and the service stats types) stays in sync with the counter list in
 //     scripts/benchcmp.sh and the stats-schema table in README.md.
 //
@@ -50,7 +38,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Analyzer is one invariant check. Run inspects a type-checked package
@@ -64,10 +51,7 @@ type Analyzer struct {
 
 // All returns the full suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		IterClose, GovCharge, ErrTaxonomy, CtxFirst,
-		GoroLeak, LockDiscipline, AtomicMix, TimeInject, WireDrift,
-	}
+	return []*Analyzer{IterClose, GovCharge, ErrTaxonomy, WireDrift}
 }
 
 // Pass carries one analyzer's view of one package.
@@ -176,14 +160,6 @@ func (idx *suppressionIndex) suppressor(d Diagnostic) *suppression {
 // every justified directive that suppressed nothing (a stale waiver) or
 // that names an analyzer the suite does not know.
 func CheckPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return CheckPackageTimed(pkg, analyzers, nil)
-}
-
-// CheckPackageTimed is CheckPackage with an optional per-analyzer
-// wall-clock accumulator (nil to skip timing): each analyzer's Run duration
-// over this package is added to timings[name]. cmd/lintrepro's -timing flag
-// feeds the check.sh lint-budget assertion from it.
-func CheckPackageTimed(pkg *Package, analyzers []*Analyzer, timings map[string]time.Duration) ([]Diagnostic, error) {
 	idx := scanSuppressions(pkg.Fset, pkg.Files)
 	ran := make(map[string]bool, len(analyzers))
 	var out []Diagnostic
@@ -196,12 +172,7 @@ func CheckPackageTimed(pkg *Package, analyzers []*Analyzer, timings map[string]t
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		if timings != nil {
-			timings[a.Name] += time.Since(start)
-		}
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 		}
 		for _, d := range pass.diags {

@@ -91,7 +91,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 // Load resolves the patterns in dir and returns the matched packages,
 // parsed and type-checked. Test files are deliberately excluded: the suite
 // checks production invariants, and test scaffolding (ad-hoc iterators,
-// context.Background) plays by different rules.
+// uncharged buffers) plays by different rules.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -141,7 +141,12 @@ func typeCheck(importPath, dir string, goFiles []string, exports map[string]stri
 		}
 		files = append(files, f)
 	}
-	info := newInfo()
+	// The type-checker fact maps the analyzers consult.
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
 	conf := types.Config{Importer: exportImporter(fset, exports)}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
@@ -155,30 +160,4 @@ func typeCheck(importPath, dir string, goFiles []string, exports map[string]stri
 		Types:      tpkg,
 		Info:       info,
 	}, nil
-}
-
-// TypeCheckFiles type-checks already-parsed files against export data
-// resolved by lookup. The vettool mode of cmd/lintrepro uses it with the
-// import map go vet provides; tests use it with fixture sources.
-func TypeCheckFiles(importPath string, fset *token.FileSet, files []*ast.File, lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("%s: type checking: %w", importPath, err)
-	}
-	return &Package{ImportPath: importPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// newInfo allocates the full set of type-checker fact maps the analyzers
-// consult.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }

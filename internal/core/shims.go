@@ -6,10 +6,10 @@ import "context"
 // Stream) are generated from their *Context twins by one table-driven shim:
 // each wrapper's body is exactly `return e.<Twin>(noCancel(), args...)`, so
 // the library's entire no-cancellation surface funnels through a single
-// sanctioned root-context site instead of four separately waived ones.
-// TestConvenienceShims walks convenienceShims by reflection and fails if a
-// wrapper is missing or its signature drifts from its twin's (minus the
-// leading context), so the table is load-bearing, not documentation.
+// root-context site. TestConvenienceShims walks convenienceShims by
+// reflection and fails if a wrapper is missing or its signature drifts from
+// its twin's (minus the leading context), so the table is load-bearing, not
+// documentation.
 
 // convenienceShims pairs every documented context-less wrapper with the
 // *Context twin it shims to.
@@ -23,10 +23,9 @@ var convenienceShims = []struct {
 }
 
 // noCancel returns the root context behind the convenience wrappers. It is
-// the library's single justified context.Background() site: ctxfirst bans
-// conjured root contexts everywhere else, so adding a fifth wrapper means
-// adding a convenienceShims row, not a new waiver.
+// the library's one context.Background() site: everything below the
+// wrappers runs under the caller's context, so adding a fifth wrapper means
+// adding a convenienceShims row, not a second root context.
 func noCancel() context.Context {
-	//lint:ignore ctxfirst the one root-context site backing the documented context-less convenience wrappers (convenienceShims)
 	return context.Background()
 }

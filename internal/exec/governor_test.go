@@ -121,9 +121,23 @@ func TestGovernorParallelRunAborts(t *testing.T) {
 
 // TestGovernorConcurrentCharges drives one governor from several goroutines
 // and checks the budget is enforced
-// exactly once and every loser observes the same pinned violation.
+// exactly once and every loser observes the same pinned violation. An
+// observer polls the usage accessors meanwhile, so under -race a counter
+// that is charged atomically but read plainly is reported.
 func TestGovernorConcurrentCharges(t *testing.T) {
 	gov := NewGovernor(1000, 0)
+	stop, observed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(observed)
+		for {
+			_, _, _ = gov.TuplesUsed(), gov.BytesUsed(), gov.Err()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	var mu sync.Mutex
 	var granted int64
 	errs := make(map[*ResourceError]struct{})
@@ -150,6 +164,8 @@ func TestGovernorConcurrentCharges(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-observed
 	if granted > 1000 {
 		t.Fatalf("granted %d charges over a 1000-tuple budget", granted)
 	}

@@ -410,7 +410,8 @@ func (m *Memo) consumeWaitBlock(e *memoEntry, pos, max int, done <-chan struct{}
 			m.mu.Unlock()
 			return nil, consumeCancelled, blocked
 		}
-		//lint:ignore lockdiscipline re-acquire at loop bottom; control jumps back to the loop head where every exit path unlocks
+		// Re-acquire at the loop bottom: control jumps back to the loop
+		// head, where every exit path unlocks.
 		m.mu.Lock()
 		e.waiters--
 	}

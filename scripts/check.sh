@@ -9,8 +9,10 @@
 # The race pass covers the packages with real concurrency: the executor
 # (internal/exec), whose plan-cache memo is shared by concurrent queries
 # through its cross-query single-flight, the engine API that drives it with
-# contexts and timeouts (internal/core), the optimizer whose plan cache is shared across
-# goroutines (internal/planopt), constraint checking over live engines
+# contexts and timeouts (internal/core), the optimizer that concurrent
+# queries plan through (internal/planopt — it keeps no shared state, only
+# per-call fingerprint maps, and the race pass keeps it that way),
+# constraint checking over live engines
 # (internal/integrity), and the multi-tenant service tier with its batcher
 # and request-level single-flight (internal/service).
 set -eu
@@ -45,15 +47,13 @@ go vet ./...
 
 echo "== make lint (repo invariant analyzers)"
 # The suite must stay cheap enough to run on every check: budget 30s of
-# wall clock for the whole lint step (including the go run build). The
-# -timing output in the lint target itemizes per-pass cost when the budget
-# ever gets tight.
+# wall clock for the whole lint step (including the go run build).
 lint_start=$(date +%s)
 make lint
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "   lint wall clock: ${lint_elapsed}s (budget 30s)"
 if [ "$lint_elapsed" -ge 30 ]; then
-	echo "lint suite took ${lint_elapsed}s, over the 30s budget — see the lintrepro timing lines above" >&2
+	echo "lint suite took ${lint_elapsed}s, over the 30s budget" >&2
 	exit 1
 fi
 
