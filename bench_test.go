@@ -13,7 +13,6 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -726,77 +725,13 @@ func TestE13SharedSubplanReduction(t *testing.T) {
 	}
 }
 
-// --- E15: single-flight shared-spool evaluation (DESIGN.md) -------------------
+// --- E15: cross-query memo sharing (DESIGN.md §5) ----------------------------
 
-// runConcurrentMemo exhausts the plan from c concurrent goroutines per
-// iteration, all cold. sharedMemo=true gives every goroutine the same fresh
-// memo (single-flight: one elected producer, c−1 streaming consumers);
-// false gives each its own (the serialized-first-drain baseline, which
-// reproduces the pre-single-flight behaviour where every concurrent cold
-// query evaluated the producer subtree itself).
-func runConcurrentMemo(b *testing.B, cat *storage.Catalog, plan algebra.Plan, c int, sharedMemo bool) {
-	var total exec.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var memo *exec.Memo
-		if sharedMemo {
-			memo = exec.NewMemo(0)
-		}
-		ctxs := make([]*exec.Context, c)
-		var wg sync.WaitGroup
-		errs := make([]error, c)
-		for g := 0; g < c; g++ {
-			g := g
-			ctxs[g] = exec.NewContext(cat)
-			if sharedMemo {
-				ctxs[g].Memo = memo
-			} else {
-				ctxs[g].Memo = exec.NewMemo(0)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, errs[g] = exec.Run(ctxs[g], plan)
-			}()
-		}
-		wg.Wait()
-		for g := 0; g < c; g++ {
-			if errs[g] != nil {
-				b.Fatal(errs[g])
-			}
-			total.Add(*ctxs[g].Stats)
-		}
-	}
-	b.StopTimer()
-	reportStats(b, total)
-	b.ReportMetric(float64(total.CacheDuplicatesAvoided)/float64(b.N), "cdup/op")
-	b.ReportMetric(float64(total.CacheTuplesReplayed)/float64(b.N), "creplay/op")
-	b.ReportMetric(float64(total.BatchesEmitted)/float64(b.N), "batches/op")
-}
-
-// BenchmarkE15SingleFlight is the acceptance pair for single-flight
-// spooling: c concurrent cold evaluations of the E13 width-4 shared plan,
-// with per-goroutine memos (every query pays the producer) against one
-// shared memo (one producer, everyone else streams). The gate: at c=4 the
-// single-flight side must be ≥1.5× faster in wall clock.
-func BenchmarkE15SingleFlight(b *testing.B) {
-	cat, input := e13Query(4)
-	raw, _ := prepare(b, cat, core.StrategyBry, translate.Options{DisjunctiveFilters: translate.StrategyUnion}, input)
-	shared := planopt.Share(raw)
-	for _, c := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("c=%d/serialized-baseline", c), func(b *testing.B) {
-			runConcurrentMemo(b, cat, shared, c, false)
-		})
-		b.Run(fmt.Sprintf("c=%d/single-flight", c), func(b *testing.B) {
-			runConcurrentMemo(b, cat, shared, c, true)
-		})
-	}
-}
-
-// TestE15SingleFlightSharing pins the deterministic half of the E15
-// acceptance bar: with 8 concurrent cold queries sharing one fingerprint,
-// exactly one run evaluates the plan; the other seven stream or replay,
-// touching no base relation.
+// TestE15SingleFlightSharing pins the deterministic half of E15: eight cold
+// queries in a row on one memo. The first evaluates the plan and publishes;
+// the other seven replay the complete root entry, touching no base
+// relation, so the eight together read exactly one cold evaluation's base
+// tuples.
 func TestE15SingleFlightSharing(t *testing.T) {
 	cat, input := e13Query(4)
 	q, err := rewrite.Normalize(parser.MustParse(input))
@@ -818,52 +753,24 @@ func TestE15SingleFlightSharing(t *testing.T) {
 
 	const c = 8
 	memo := exec.NewMemo(0)
-	ctxs := make([]*exec.Context, c)
-	outs := make([]*relation.Relation, c)
-	errs := make([]error, c)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
+	var totalReads int64
 	for g := 0; g < c; g++ {
-		g := g
-		ctxs[g] = exec.NewContext(cat)
-		ctxs[g].Memo = memo
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			outs[g], errs[g] = exec.Run(ctxs[g], shared)
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	var producers int
-	var totalReads, dups, hits exec.Stats
-	for g := 0; g < c; g++ {
-		if errs[g] != nil {
-			t.Fatalf("run %d: %v", g, errs[g])
+		ctx := exec.NewContext(cat)
+		ctx.Memo = memo
+		out, err := exec.Run(ctx, shared)
+		if err != nil {
+			t.Fatalf("run %d: %v", g, err)
 		}
-		if !outs[g].Equal(want) {
+		if !out.Equal(want) {
 			t.Fatalf("run %d result differs", g)
 		}
-		st := ctxs[g].Stats
-		totalReads.BaseTuplesRead += st.BaseTuplesRead
-		dups.CacheDuplicatesAvoided += st.CacheDuplicatesAvoided
-		hits.CacheHits += st.CacheHits
-		if st.BaseTuplesRead > 0 {
-			producers++
-		} else if st.CacheHits+st.CacheDuplicatesAvoided == 0 {
-			t.Fatalf("run %d read nothing yet neither hit nor streamed: %s", g, st)
+		totalReads += ctx.Stats.BaseTuplesRead
+		if g > 0 && (ctx.Stats.BaseTuplesRead != 0 || ctx.Stats.CacheHits != 1 || ctx.Stats.CacheMisses != 0) {
+			t.Fatalf("run %d did not replay the published entry: %s", g, ctx.Stats)
 		}
 	}
-	if producers != 1 {
-		t.Fatalf("%d runs evaluated base relations, want exactly 1", producers)
-	}
-	if totalReads.BaseTuplesRead != ref.Stats.BaseTuplesRead {
-		t.Fatalf("total reads %d, want one cold evaluation's %d", totalReads.BaseTuplesRead, ref.Stats.BaseTuplesRead)
-	}
-	if hits.CacheHits+dups.CacheDuplicatesAvoided < c-1 {
-		t.Fatalf("hits(%d)+streamed(%d) < %d", hits.CacheHits, dups.CacheDuplicatesAvoided, c-1)
+	if totalReads != ref.Stats.BaseTuplesRead {
+		t.Fatalf("total reads %d, want one cold evaluation's %d", totalReads, ref.Stats.BaseTuplesRead)
 	}
 }
 
@@ -936,9 +843,7 @@ func BenchmarkE8EmptinessTest(b *testing.B) {
 // 64 and 1024: block 1024 must beat block 1 (the per-call tax it
 // amortizes). (The original ≥2× bar was set against the separate tuple
 // pipeline and its string-keyed hash table, both since deleted; block 1
-// shares the chained table, so the remaining gap is bookkeeping alone.) The
-// single-flight arm drains the join as a shared spool under four concurrent
-// cold consumers.
+// shares the chained table, so the remaining gap is bookkeeping alone.)
 func BenchmarkE16BatchExecution(b *testing.B) {
 	cat, plans := joinWorkload(b, "join/member-skill", "semijoin/attends-cs")
 	for _, pl := range plans {
@@ -948,7 +853,4 @@ func BenchmarkE16BatchExecution(b *testing.B) {
 			})
 		}
 	}
-	b.Run("single-flight/c=4", func(b *testing.B) {
-		runConcurrentMemo(b, cat, algebra.NewShared(plans[0].plan), 4, true)
-	})
 }

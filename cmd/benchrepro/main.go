@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"repro/internal/algebra"
@@ -75,8 +74,8 @@ func main() {
 		{"e12", e12, "E12 — partitioned parallel executor (removed)"},
 		{"e13", e13, "E13 — memoizing subplan cache on wide disjunctions (union strategy)"},
 		{"e14", e14, "E14 — resource governor: overhead parity, budget trips, degradation"},
-		{"e15", e15, "E15 — single-flight shared-spool evaluation under concurrent queries"},
-		{"e16", e16, "E16 — columnar batch execution: block-size parity and a single-flight spool producer"},
+		{"e15", e15, "E15 — cross-query memo sharing: six cold queries in a row on one engine"},
+		{"e16", e16, "E16 — columnar batch execution: block-size counter parity"},
 	}
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -170,18 +169,17 @@ func printTable(header string, rows []row) {
 // Counter keys are exactly the core.Snapshot wire names, so a bench row and
 // a /stats snapshot speak the same vocabulary.
 type jsonRow struct {
-	Table             string `json:"table"`
-	Label             string `json:"label"`
-	Reads             int64  `json:"base_tuples_read"`
-	Comparisons       int64  `json:"comparisons"`
-	Intermediates     int64  `json:"intermediate_tuples"`
-	Materialized      int64  `json:"materializations"`
-	CacheHits         int64  `json:"cache_hits"`
-	CacheMisses       int64  `json:"cache_misses"`
-	TuplesReplayed    int64  `json:"cache_tuples_replayed"`
-	TuplesSpooled     int64  `json:"cache_tuples_spooled"`
-	DuplicatesAvoided int64  `json:"cache_duplicates_avoided"`
-	SpoolsAbandoned   int64  `json:"cache_spools_abandoned"`
+	Table           string `json:"table"`
+	Label           string `json:"label"`
+	Reads           int64  `json:"base_tuples_read"`
+	Comparisons     int64  `json:"comparisons"`
+	Intermediates   int64  `json:"intermediate_tuples"`
+	Materialized    int64  `json:"materializations"`
+	CacheHits       int64  `json:"cache_hits"`
+	CacheMisses     int64  `json:"cache_misses"`
+	TuplesReplayed  int64  `json:"cache_tuples_replayed"`
+	TuplesSpooled   int64  `json:"cache_tuples_spooled"`
+	SpoolsAbandoned int64  `json:"cache_spools_abandoned"`
 	// BatchesEmitted is deterministic for a fixed configuration (see
 	// exec.Stats); AvgBatchFill is a derived gauge the gate ignores.
 	BatchesEmitted int64   `json:"batches_emitted"`
@@ -194,21 +192,20 @@ func writeJSONRow(header string, r row) {
 		return
 	}
 	line, err := json.Marshal(jsonRow{
-		Table:             header,
-		Label:             r.label,
-		Reads:             r.stats.BaseTuplesRead,
-		Comparisons:       r.stats.Comparisons,
-		Intermediates:     r.stats.IntermediateTuples,
-		Materialized:      r.stats.Materializations,
-		CacheHits:         r.stats.CacheHits,
-		CacheMisses:       r.stats.CacheMisses,
-		TuplesReplayed:    r.stats.CacheTuplesReplayed,
-		TuplesSpooled:     r.stats.CacheTuplesSpooled,
-		DuplicatesAvoided: r.stats.CacheDuplicatesAvoided,
-		SpoolsAbandoned:   r.stats.CacheSpoolsAbandoned,
-		BatchesEmitted:    r.stats.BatchesEmitted,
-		AvgBatchFill:      fillOf(r.stats),
-		Result:            r.extra,
+		Table:           header,
+		Label:           r.label,
+		Reads:           r.stats.BaseTuplesRead,
+		Comparisons:     r.stats.Comparisons,
+		Intermediates:   r.stats.IntermediateTuples,
+		Materialized:    r.stats.Materializations,
+		CacheHits:       r.stats.CacheHits,
+		CacheMisses:     r.stats.CacheMisses,
+		TuplesReplayed:  r.stats.CacheTuplesReplayed,
+		TuplesSpooled:   r.stats.CacheTuplesSpooled,
+		SpoolsAbandoned: r.stats.CacheSpoolsAbandoned,
+		BatchesEmitted:  r.stats.BatchesEmitted,
+		AvgBatchFill:    fillOf(r.stats),
+		Result:          r.extra,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -718,15 +715,14 @@ func e14() {
 	printTable("resource governor, E12 workload + Codd blowup, 3000 students", rows)
 }
 
-// e15 pins the single-flight cooperative spool on deterministic counters
-// (wall clock lives in go test -bench E15): six concurrent cold queries of
-// the E13 workload either each carry their own memo — so every one pays the
-// full evaluation, the pre-single-flight behaviour — or share one engine
-// memo, where exactly one run is elected producer and the other five stream
-// from its in-flight spool or replay the published entry. Whether a given
-// run streams (duplicate avoided) or replays (hit) depends on goroutine
-// scheduling, so the table folds both into one "shared" count, reported as
-// cache_hits in -json to keep two runs diffable.
+// e15 pins cross-query memo sharing on deterministic counters (E13 is the
+// within-query half): six cold queries of the E13 workload run one after
+// another, either each on its own engine — its own memo, so every one pays
+// the full evaluation — or all on one engine, where the first evaluates and
+// publishes and the other five replay the published root entry without
+// touching a base relation. The memo replays only complete results; the
+// single flight that collapses identical *concurrent* queries into one
+// evaluation is queryd's flight table (internal/service/flight.go).
 func e15() {
 	cat := dataset.PTU(dataset.PTUParams{N: 4000, TProb: 0.5, UProb: 0.1, ExtraShare: 0.05, Branches: 5, Seed: 13})
 	db := core.NewDB()
@@ -745,51 +741,27 @@ func e15() {
 		log.Fatal(err)
 	}
 
-	runConcurrent := func(label string, engineFor func(int) *core.Engine) row {
-		results := make([]*core.Result, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < n; i++ {
-			i := i
-			eng := engineFor(i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				results[i], errs[i] = eng.Query(q)
-			}()
-		}
-		close(start)
-		wg.Wait()
+	runInARow := func(label string, engine func() *core.Engine) row {
 		var agg exec.Stats
+		var res *core.Result
 		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				log.Fatalf("%s run %d: %v", label, i, errs[i])
+			if res, err = engine().Query(q); err != nil {
+				log.Fatalf("%s run %d: %v", label, i, err)
 			}
-			agg.Add(results[i].Stats)
+			agg.Add(res.Stats)
 		}
-		shared := agg.CacheHits + agg.CacheDuplicatesAvoided
-		agg.CacheHits = shared
-		agg.CacheDuplicatesAvoided = 0
 		return row{label: label, stats: agg,
-			extra: fmt.Sprintf("%d rows each, shared=%d spooled=%d abandoned=%d",
-				results[0].Rows.Len(), shared, agg.CacheTuplesSpooled, agg.CacheSpoolsAbandoned)}
+			extra: fmt.Sprintf("%d rows each, hits=%d spooled=%d abandoned=%d",
+				res.Rows.Len(), agg.CacheHits, agg.CacheTuplesSpooled, agg.CacheSpoolsAbandoned)}
 	}
 
-	perQuery := make([]*core.Engine, n)
-	for i := range perQuery {
-		perQuery[i] = newCached()
-	}
 	one := newCached()
 	rows := []row{
 		{label: "single cold run (reference)", stats: ref.Stats, extra: fmt.Sprintf("%d rows", ref.Rows.Len())},
-		runConcurrent(fmt.Sprintf("%d concurrent, per-query memos (duplicate evaluation)", n),
-			func(i int) *core.Engine { return perQuery[i] }),
-		runConcurrent(fmt.Sprintf("%d concurrent, one single-flight memo", n),
-			func(int) *core.Engine { return one }),
+		runInARow(fmt.Sprintf("%d in a row, per-query memos (duplicate evaluation)", n), newCached),
+		runInARow(fmt.Sprintf("%d in a row, one engine memo", n), func() *core.Engine { return one }),
 	}
-	printTable("single-flight shared spools, E13 workload, 6 concurrent cold queries", rows)
+	printTable("cross-query memo sharing, E13 workload, 6 cold queries in a row", rows)
 }
 
 // fillOf derives the average block fill of one stats record (0 when no
@@ -802,13 +774,10 @@ func fillOf(st exec.Stats) float64 {
 }
 
 // e16 pins block execution on deterministic counters (wall clock lives in
-// go test -bench E16). First half: the E12 workload runs serially under
-// block capacities 1/64/1024 — every logical counter is identical across
-// the three rows, only batches_emitted and the fill gauge move, which is
-// the executor's correctness contract (capacity 1 is tuple-at-a-time).
-// Second half: the E15 single-flight workload, whose batches_emitted stays
-// deterministic because only producing operators count blocks (replay and
-// single-flight consumption do not).
+// go test -bench E16): the E12 workload runs under block capacities
+// 1/64/1024 — every logical counter is identical across the three rows,
+// only batches_emitted and the fill gauge move, which is the executor's
+// correctness contract (capacity 1 is tuple-at-a-time).
 func e16() {
 	p := dataset.DefaultUniversity(3000)
 	p.Lectures = 60
@@ -833,55 +802,4 @@ func e16() {
 				res.Rows.Len(), res.Stats.BatchesEmitted, fillOf(res.Stats))})
 	}
 	printTable("batch-size counter parity, E12 workload, 3000 students", rows)
-	fmt.Println()
-
-	// One elected producer under single-flight sharing: 6 concurrent cold
-	// queries of the E13 workload against one shared memo. The table title
-	// and row label predate the removal of the partition-parallel executor;
-	// they are kept so the committed baseline row stays comparable.
-	pcat := dataset.PTU(dataset.PTUParams{N: 4000, TProb: 0.5, UProb: 0.1, ExtraShare: 0.05, Branches: 5, Seed: 13})
-	pdb := core.NewDB()
-	for _, name := range pcat.Names() {
-		r, _ := pcat.Relation(name)
-		pdb.Catalog().Add(r)
-	}
-	pq := `{ x | P(x) and T(x) and (U(x) or T2(x) or T3(x) or T4(x)) }`
-	const n = 6
-	runConcurrent := func(label string) row {
-		eng := core.NewEngine(pdb,
-			core.WithDisjunctiveFilters(translate.StrategyUnion),
-			core.WithPlanCache(0),
-		)
-		results := make([]*core.Result, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < n; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				results[i], errs[i] = eng.Query(pq)
-			}()
-		}
-		close(start)
-		wg.Wait()
-		var agg exec.Stats
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				log.Fatalf("%s run %d: %v", label, i, errs[i])
-			}
-			agg.Add(results[i].Stats)
-		}
-		// Streaming vs replaying is scheduling-dependent; fold as in e15.
-		shared := agg.CacheHits + agg.CacheDuplicatesAvoided
-		agg.CacheHits = shared
-		agg.CacheDuplicatesAvoided = 0
-		return row{label: label, stats: agg,
-			extra: fmt.Sprintf("%d rows each, shared=%d batches=%d fill=%.1f",
-				results[0].Rows.Len(), shared, agg.BatchesEmitted, fillOf(agg))}
-	}
-	printTable("parallel partitioned producers, E13 workload, 6 concurrent cold queries",
-		[]row{runConcurrent("serial producer (parallel=1)")})
 }

@@ -15,8 +15,8 @@ import (
 //     method — by calling its Close/close, passing it to a helper, or
 //     ranging over it (for slices of children). An input held through the
 //     executor's cursor counts: cursor carries a niladic close. A forgotten child leaks the
-//     subtree's buffers and, for memo producers, strands consumers on a
-//     spool that is never abandoned.
+//     subtree's buffers and, for memo producers, leaves a spool building
+//     that is never abandoned, so later evaluations go private.
 //
 //  2. A function that obtains an iterator from a call (exec.Build and
 //     friends) must either close it or hand it off (return it, store it in

@@ -52,12 +52,4 @@ func wrap(f Formula) string {
 	}
 }
 
-// MustString is a fmt helper for tests and examples.
-func MustString(f Formula) string {
-	if f == nil {
-		return "<nil>"
-	}
-	return f.String()
-}
-
 var _ = fmt.Stringer(Atom{})

@@ -82,7 +82,7 @@ func TestChaosEngineSurvivesSeededFaults(t *testing.T) {
 
 				// Post-fault health on the same engine: cache-on must still
 				// equal the cache-off baseline.
-				eng.Configure(WithoutFaultPlan())
+				eng.Configure(WithFaultPlan(nil))
 				res, err = eng.Query(q)
 				if err != nil {
 					t.Fatalf("seed %d %q: post-fault query: %v", seed, q, err)

@@ -113,7 +113,7 @@ func WithMemoryBudget(bytes int64) Option {
 // WithFaultPlan installs a deterministic fault-injection plan consulted at
 // the executor's registered injection points and at catalog lookups. It
 // exists for robustness tests; production engines never install one. A nil
-// plan (or WithoutFaultPlan) removes it.
+// plan removes it.
 func WithFaultPlan(p *faultinject.Plan) Option {
 	return func(e *Engine) {
 		e.faults = p
@@ -126,9 +126,6 @@ func WithFaultPlan(p *faultinject.Plan) Option {
 		})
 	}
 }
-
-// WithoutFaultPlan removes any installed fault-injection plan.
-func WithoutFaultPlan() Option { return WithFaultPlan(nil) }
 
 // Limits is a per-call resource budget, overriding the engine-level
 // WithTupleLimit/WithMemoryBudget wholesale for one execution (zero fields

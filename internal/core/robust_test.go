@@ -206,7 +206,7 @@ func TestEveryInjectionPointSurfacesTyped(t *testing.T) {
 					}
 				}
 				// The same engine heals once the plan is removed.
-				eng.Configure(WithoutFaultPlan())
+				eng.Configure(WithFaultPlan(nil))
 				res, err := eng.Query(robustQuery)
 				if err != nil {
 					t.Fatalf("post-fault query: %v", err)
@@ -249,7 +249,7 @@ func TestRobustnessOptionsAccessors(t *testing.T) {
 	if eng.TupleLimit() != 7 || eng.MemoryBudget() != 1024 || eng.FaultPlan() != fp {
 		t.Fatalf("accessors disagree: %d %d %v", eng.TupleLimit(), eng.MemoryBudget(), eng.FaultPlan())
 	}
-	eng.Configure(WithTupleLimit(-1), WithMemoryBudget(-1), WithoutFaultPlan())
+	eng.Configure(WithTupleLimit(-1), WithMemoryBudget(-1), WithFaultPlan(nil))
 	if eng.TupleLimit() != 0 || eng.MemoryBudget() != 0 || eng.FaultPlan() != nil {
 		t.Fatalf("clamping failed: %d %d %v", eng.TupleLimit(), eng.MemoryBudget(), eng.FaultPlan())
 	}

@@ -12,8 +12,10 @@ package core
 // snapshots (load-test records, committed baselines) stay interpretable.
 // Version 2 added the batch-executor surface: batches_emitted (counter) and
 // avg_batch_fill (gauge). Version 3 removed partitions_executed with the
-// partition-parallel join executor.
-const SnapshotVersion = 3
+// partition-parallel join executor. Version 4 removed
+// cache_single_flight_waits and cache_duplicates_avoided with the memo's
+// cross-query spool streaming.
+const SnapshotVersion = 4
 
 // Snapshot is a point-in-time view of one Engine: the cumulative execution
 // counters folded from every run since construction, the cumulative
@@ -42,8 +44,7 @@ type Snapshot struct {
 	OutputTuples       int64 `json:"output_tuples"`
 	// BatchesEmitted counts blocks emitted by producing operators, the
 	// demand-1 blocks of emptiness probes and streams included. Memo replay
-	// and single-flight consumption are excluded, keeping the counter
-	// deterministic under concurrency.
+	// is excluded.
 	BatchesEmitted int64 `json:"batches_emitted"`
 	// AvgBatchFill is the cumulative average tuples per emitted block — a
 	// derived gauge (0 when no blocks were emitted); Diff keeps the
@@ -51,12 +52,10 @@ type Snapshot struct {
 	AvgBatchFill float64 `json:"avg_batch_fill"`
 
 	// Plan-cache counters.
-	CacheHits              int64 `json:"cache_hits"`
-	CacheMisses            int64 `json:"cache_misses"`
-	CacheTuplesReplayed    int64 `json:"cache_tuples_replayed"`
-	CacheTuplesSpooled     int64 `json:"cache_tuples_spooled"`
-	CacheSingleFlightWaits int64 `json:"cache_single_flight_waits"`
-	CacheDuplicatesAvoided int64 `json:"cache_duplicates_avoided"`
+	CacheHits           int64 `json:"cache_hits"`
+	CacheMisses         int64 `json:"cache_misses"`
+	CacheTuplesReplayed int64 `json:"cache_tuples_replayed"`
+	CacheTuplesSpooled  int64 `json:"cache_tuples_spooled"`
 	// CacheSpoolsAbandoned counts spools given up before publication,
 	// attributed to the runs that abandoned them. The memo-lifetime total
 	// (which also counts generation-flush abandons no run observes) is the
@@ -97,13 +96,11 @@ func (e *Engine) Snapshot() Snapshot {
 		OutputTuples:       cum.OutputTuples,
 		BatchesEmitted:     cum.BatchesEmitted,
 
-		CacheHits:              cum.CacheHits,
-		CacheMisses:            cum.CacheMisses,
-		CacheTuplesReplayed:    cum.CacheTuplesReplayed,
-		CacheTuplesSpooled:     cum.CacheTuplesSpooled,
-		CacheSingleFlightWaits: cum.CacheSingleFlightWaits,
-		CacheDuplicatesAvoided: cum.CacheDuplicatesAvoided,
-		CacheSpoolsAbandoned:   cum.CacheSpoolsAbandoned,
+		CacheHits:            cum.CacheHits,
+		CacheMisses:          cum.CacheMisses,
+		CacheTuplesReplayed:  cum.CacheTuplesReplayed,
+		CacheTuplesSpooled:   cum.CacheTuplesSpooled,
+		CacheSpoolsAbandoned: cum.CacheSpoolsAbandoned,
 
 		PanicsRecovered:   cum.PanicsRecovered,
 		LimitsTripped:     cum.LimitsTripped,
@@ -141,8 +138,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d.CacheMisses -= prev.CacheMisses
 	d.CacheTuplesReplayed -= prev.CacheTuplesReplayed
 	d.CacheTuplesSpooled -= prev.CacheTuplesSpooled
-	d.CacheSingleFlightWaits -= prev.CacheSingleFlightWaits
-	d.CacheDuplicatesAvoided -= prev.CacheDuplicatesAvoided
 	d.CacheSpoolsAbandoned -= prev.CacheSpoolsAbandoned
 	d.PanicsRecovered -= prev.PanicsRecovered
 	d.LimitsTripped -= prev.LimitsTripped

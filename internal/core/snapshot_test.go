@@ -102,7 +102,7 @@ func TestSnapshotJSONKeys(t *testing.T) {
 		`"base_tuples_read"`, `"comparisons"`, `"hash_inserts"`, `"intermediate_tuples"`,
 		`"materializations"`, `"output_tuples"`,
 		`"cache_hits"`, `"cache_misses"`, `"cache_tuples_replayed"`, `"cache_tuples_spooled"`,
-		`"cache_single_flight_waits"`, `"cache_duplicates_avoided"`, `"cache_spools_abandoned"`,
+		`"cache_spools_abandoned"`,
 		`"panics_recovered"`, `"limits_tripped"`, `"degraded_evictions"`,
 		`"cache_enabled"`, `"cache_entries"`, `"cache_tuples"`, `"cache_budget"`,
 		`"memo_spools_abandoned"`,

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -202,15 +200,9 @@ func refEval(t *testing.T, cat *storage.Catalog, p algebra.Plan) *relation.Relat
 }
 
 // normalizeBatchStats folds away the counters that legitimately differ
-// between block capacities. Block counts are physical, not logical; and
-// whether a second Shared reference attaches to an in-flight spool
-// (duplicate avoided) or replays the published entry (hit) depends on when
-// it opens relative to spool completion — a pipeline-shape detail. The sum
-// is the invariant, exactly as in benchrepro's E15 fold.
+// between block capacities: block counts are physical, not logical.
 func normalizeBatchStats(s Stats) Stats {
 	s.BatchesEmitted, s.BatchTuples = 0, 0
-	s.CacheHits += s.CacheDuplicatesAvoided
-	s.CacheDuplicatesAvoided = 0
 	return s
 }
 
@@ -344,13 +336,11 @@ func TestBatchHintZeroAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath for two
-// executions running in parallel on one memo at a tiny block size: the
-// elected producer appends many blocks per spool, and faults strike the
-// append path mid-spool with the concurrent consumer attached. The invariant is unchanged: both runs
-// terminate, failures are the injected ones, survivors return the baseline,
-// and the same memo afterwards serves a clean run — producer death
-// abandons deterministically and re-elects, never publishing partial blocks.
+// TestChaosBatchParallelProducerDeath is TestChaosMemoProducerDeath at a
+// tiny block size: the producer appends many blocks per spool, so faults
+// strike the append path mid-spool while the second execution runs. The
+// invariant is chaosProducerDeathRound's: a dead producer abandons and never
+// publishes partial blocks, and the next evaluation produces again.
 func TestChaosBatchParallelProducerDeath(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	cat := randomJoinCatalog(44, 150)
@@ -363,46 +353,9 @@ func TestChaosBatchParallelProducerDeath(t *testing.T) {
 	kinds := []faultinject.Kind{faultinject.KindError, faultinject.KindPanic, faultinject.KindDelay}
 	for _, kind := range kinds {
 		for _, after := range []int64{1, 3, 5} {
-			name := fmt.Sprintf("%s/%s@%d", faultinject.PointMemoAppend, kind, after)
-			t.Run(name, func(t *testing.T) {
-				memo := NewMemo(0) // cold: the append point actually fires
-				fplan := faultinject.New(faultinject.Arm{
-					Point: faultinject.PointMemoAppend, Kind: kind, After: after})
-				var wg sync.WaitGroup
-				for g := 0; g < 2; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						defer func() {
-							recover() // injected panics surface raw at this layer
-						}()
-						ctx := NewContext(cat)
-						ctx.Memo = memo
-						ctx.Faults = fplan
-						ctx.BatchSize = 7 // several appendSpoolBlock calls per spool
-						ctx.CheckInterval = GovernedCheckInterval
-						out, err := Run(ctx, plan)
-						if err != nil {
-							if !errors.Is(err, faultinject.ErrInjected) {
-								t.Errorf("non-injected error: %v", err)
-							}
-						} else if !out.Equal(baseline) {
-							t.Error("surviving run returned a wrong result")
-						}
-					}()
-				}
-				wg.Wait()
-
-				after := NewContext(cat)
-				after.Memo = memo
-				after.BatchSize = 7
-				out, err := Run(after, plan)
-				if err != nil {
-					t.Fatalf("post-fault run: %v", err)
-				}
-				if !out.Equal(baseline) {
-					t.Fatal("post-fault run differs from baseline")
-				}
+			arm := faultinject.Arm{Point: faultinject.PointMemoAppend, Kind: kind, After: after}
+			t.Run(fmt.Sprintf("%s/%s@%d", arm.Point, kind, after), func(t *testing.T) {
+				chaosProducerDeathRound(t, cat, plan, baseline, arm, 7) // several appendSpoolBlock calls per spool
 			})
 		}
 	}

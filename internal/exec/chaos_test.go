@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
@@ -43,13 +44,11 @@ func chaosPlan(cat *storage.Catalog) algebra.Plan {
 	}
 }
 
-// TestChaosMemoProducerDeath sweeps every way an elected single-flight
-// producer can die at the memo.elect and memo.append points — injected
-// error, panic, delay — with a concurrent consumer attached, on a cold memo
-// every round. The invariant: both runs terminate (a deadlocked waiter
-// would hang the test), failures are typed, survivors return the baseline,
-// and the same memo afterwards serves a clean run — i.e. producer death
-// re-elects or fails, never leaves partial publications.
+// TestChaosMemoProducerDeath sweeps every way a memo producer can die at
+// the memo.elect and memo.append points — injected error, panic, delay —
+// while a second execution runs the same plan on the same cold memo (and
+// finds the entry complete, absent or still building, in which case it
+// evaluates privately). See chaosProducerDeathRound for the invariant.
 func TestChaosMemoProducerDeath(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	cat := randomJoinCatalog(43, 150)
@@ -64,45 +63,80 @@ func TestChaosMemoProducerDeath(t *testing.T) {
 	for _, point := range points {
 		for _, kind := range kinds {
 			for after := int64(1); after <= 3; after++ {
-				name := fmt.Sprintf("%s/%s@%d", point, kind, after)
-				t.Run(name, func(t *testing.T) {
-					memo := NewMemo(0) // cold: the fault points actually fire
-					fplan := faultinject.New(faultinject.Arm{Point: point, Kind: kind, After: after})
-					var wg sync.WaitGroup
-					for g := 0; g < 2; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							defer func() {
-								recover() // injected panics surface raw at this layer
-							}()
-							ctx := NewContext(cat)
-							ctx.Memo = memo
-							ctx.Faults = fplan
-							ctx.CheckInterval = GovernedCheckInterval
-							out, err := Run(ctx, plan)
-							if err != nil {
-								if !errors.Is(err, faultinject.ErrInjected) {
-									t.Errorf("non-injected error: %v", err)
-								}
-							} else if !out.Equal(baseline) {
-								t.Error("surviving run returned a wrong result")
-							}
-						}()
-					}
-					wg.Wait()
-
-					after := NewContext(cat)
-					after.Memo = memo
-					out, err := Run(after, plan)
-					if err != nil {
-						t.Fatalf("post-fault run: %v", err)
-					}
-					if !out.Equal(baseline) {
-						t.Fatal("post-fault run differs from baseline")
-					}
+				arm := faultinject.Arm{Point: point, Kind: kind, After: after}
+				t.Run(fmt.Sprintf("%s/%s@%d", point, kind, after), func(t *testing.T) {
+					chaosProducerDeathRound(t, cat, plan, baseline, arm, 0)
 				})
 			}
+		}
+	}
+}
+
+// chaosProducerDeathRound runs plan from two goroutines on one cold memo
+// with arm installed (batchSize 0 = the default block capacity). Both runs
+// must terminate; failures are the injected ones; survivors return the
+// baseline. A delay arm fails nothing, so its round is clean: every Shared
+// evaluation is a hit or a miss (2 references × 2 runs) and no spool is
+// abandoned. Afterwards a clean run on the same memo returns the baseline
+// and publishes, and the run after it replays the complete entry without
+// reading a base tuple — a dead producer abandons, and the next evaluation
+// produces again.
+func chaosProducerDeathRound(t *testing.T, cat *storage.Catalog, plan algebra.Plan, baseline *relation.Relation, arm faultinject.Arm, batchSize int) {
+	t.Helper()
+	memo := NewMemo(0) // cold: the fault points actually fire
+	fplan := faultinject.New(arm)
+	newCtx := func() *Context {
+		ctx := NewContext(cat)
+		ctx.Memo = memo
+		ctx.BatchSize = batchSize
+		return ctx
+	}
+	ctxs := []*Context{newCtx(), newCtx()}
+	var wg sync.WaitGroup
+	for _, ctx := range ctxs {
+		ctx.Faults = fplan
+		ctx.CheckInterval = GovernedCheckInterval
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				recover() // injected panics surface raw at this layer
+			}()
+			out, err := Run(ctx, plan)
+			if err != nil {
+				if !errors.Is(err, faultinject.ErrInjected) {
+					t.Errorf("non-injected error: %v", err)
+				}
+			} else if !out.Equal(baseline) {
+				t.Error("surviving run returned a wrong result")
+			}
+		}()
+	}
+	wg.Wait()
+	if arm.Kind == faultinject.KindDelay {
+		var agg Stats
+		for _, ctx := range ctxs {
+			agg.Add(*ctx.Stats)
+		}
+		if agg.CacheHits+agg.CacheMisses != 4 {
+			t.Errorf("clean round: hits(%d)+misses(%d) != 4", agg.CacheHits, agg.CacheMisses)
+		}
+		if agg.CacheSpoolsAbandoned != 0 || memo.SpoolsAbandoned() != 0 {
+			t.Errorf("clean round abandoned %d spools", memo.SpoolsAbandoned())
+		}
+	}
+
+	for i := 0; i < 2; i++ {
+		ctx := newCtx()
+		out, err := Run(ctx, plan)
+		if err != nil {
+			t.Fatalf("post-fault run %d: %v", i, err)
+		}
+		if !out.Equal(baseline) {
+			t.Fatalf("post-fault run %d differs from baseline", i)
+		}
+		if i == 1 && (ctx.Stats.CacheMisses != 0 || ctx.Stats.BaseTuplesRead != 0) {
+			t.Fatalf("second post-fault run did not replay the complete entry: %s", ctx.Stats)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/faultinject"
@@ -41,9 +40,9 @@ type Context struct {
 	UseIndexes bool
 	// Memo is the optional result cache consulted by algebra.Shared nodes.
 	// nil makes Shared transparent. The memo is engine-wide and
-	// mutex-guarded, shared by concurrent executions. Memo entries are
-	// single-flight — concurrent executions that miss the same fingerprint
-	// elect one producer and stream from its in-flight spool (memo.go).
+	// mutex-guarded, shared by concurrent executions. Only complete results
+	// are replayed: an evaluation that finds its fingerprint still building
+	// evaluates privately (memo.go).
 	Memo *Memo
 	// Gov is the optional per-query resource governor. Every materializing
 	// operator charges it; a budget violation aborts the run with a typed
@@ -75,19 +74,11 @@ type Context struct {
 	// by Interrupted, a governor budget violation, or an injected fault.
 	// Once set, every later iterator call stops immediately.
 	cancelErr error
-	// execID identifies the execution this context belongs to. The memo
-	// uses it to keep an execution from blocking on a single-flight spool
-	// its own suspended producer is filling (which would deadlock one
-	// goroutine).
-	execID uint64
 }
-
-// execIDCounter hands out process-unique execution identities.
-var execIDCounter atomic.Uint64
 
 // NewContext builds a context with a fresh stats record.
 func NewContext(cat *storage.Catalog) *Context {
-	return &Context{Catalog: cat, Stats: &Stats{}, execID: execIDCounter.Add(1)}
+	return &Context{Catalog: cat, Stats: &Stats{}}
 }
 
 // NewIndexedContext builds a context with UseIndexes enabled.
@@ -149,26 +140,6 @@ func (c *Context) checkInterval() int {
 // otherwise. A run whose iterators drained normally before the context
 // fired keeps its (complete, correct) result.
 func (c *Context) CancelErr() error { return c.cancelErr }
-
-// doneChan returns the attached context's Done channel, or nil (blocks
-// forever in a select) when the execution is uncancellable. Memo consumers
-// select on it while waiting for a producer, so a blocked consumer observes
-// its own cancellation even though no tuples are flowing.
-func (c *Context) doneChan() <-chan struct{} {
-	if c.goCtx == nil {
-		return nil
-	}
-	return c.goCtx.Done()
-}
-
-// observeCancel makes the attached context's error sticky immediately,
-// bypassing the tick-counted poll. Called when a blocked wait saw the Done
-// channel fire.
-func (c *Context) observeCancel() {
-	if c.goCtx != nil {
-		c.fail(c.goCtx.Err())
-	}
-}
 
 // fail records err as the context's sticky abort cause; the first cause
 // wins. Iterators observe it through Interrupted on their next call.
@@ -246,11 +217,9 @@ func (c *Context) blockSize() int {
 
 // noteBatch records one emitted block of n tuples. Only producing operators
 // call it — scan, select, project, union, the joins, the blocking operators'
-// output side, and the memo producer/private paths. Memo replay and
-// single-flight consumption do NOT: they re-deliver blocks another
-// evaluation produced, and whether a concurrent run replays or consumes is
-// scheduling-dependent, so counting only production keeps BatchesEmitted
-// deterministic for a fixed workload.
+// output side, and the memo producer/private paths. Memo replay does NOT:
+// it re-delivers blocks another evaluation produced, so BatchesEmitted
+// counts each block once, where it was made.
 func (c *Context) noteBatch(n int) {
 	c.Stats.BatchesEmitted++
 	c.Stats.BatchTuples += int64(n)

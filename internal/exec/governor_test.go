@@ -180,7 +180,9 @@ func TestGovernorConcurrentCharges(t *testing.T) {
 func TestGovernorShedsMemoUnderPressure(t *testing.T) {
 	memo := NewMemo(0)
 	warm := intTuples(10) // 10 × 64 = 640 estimated bytes
-	memo.store(1, 7, "warm", warm)
+	if !publishEntry(memo, 1, 7, "warm", warm) {
+		t.Fatal("publish warm entry")
+	}
 
 	gov := NewGovernor(0, 1000)
 	gov.AttachMemo(memo)

@@ -123,68 +123,87 @@ func TestMemoInvalidationOnMutation(t *testing.T) {
 	}
 }
 
+// publishEntry fills and publishes one entry through the producer
+// protocol (acquire, appendSpoolBlock, complete) and reports whether it was
+// published.
+func publishEntry(m *Memo, gen int64, fp uint64, key string, ts []relation.Tuple) bool {
+	e, role := m.acquire(gen, fp, key)
+	if role != roleProduce {
+		return false
+	}
+	if _, ok := m.appendSpoolBlock(e, ts); !ok {
+		return false
+	}
+	m.complete(e)
+	return true
+}
+
 func TestMemoBudgetEviction(t *testing.T) {
 	m := NewMemo(10)
-	mk := func(n int) []relation.Tuple {
-		ts := make([]relation.Tuple, n)
-		for i := range ts {
-			ts[i] = relation.NewTuple(relation.Int(int64(i)))
-		}
-		return ts
+	if !publishEntry(m, 1, 100, "a", intTuples(6)) || !publishEntry(m, 1, 200, "b", intTuples(4)) {
+		t.Fatal("publish a, b")
 	}
-	m.store(1, 100, "a", mk(6))
-	m.store(1, 200, "b", mk(4))
 	if m.Entries() != 2 || m.Tuples() != 10 {
 		t.Fatalf("entries=%d tuples=%d", m.Entries(), m.Tuples())
 	}
-	// Touch "a" so "b" is the LRU victim.
-	if _, ok := m.lookup(1, 100, "a"); !ok {
-		t.Fatal("lookup a")
+	// Replay "a" so "b" is the LRU victim.
+	if _, role := m.acquire(1, 100, "a"); role != roleReplay {
+		t.Fatalf("acquire a = %v, want replay", role)
 	}
-	m.store(1, 300, "c", mk(4))
-	if _, ok := m.lookup(1, 200, "b"); ok {
+	if !publishEntry(m, 1, 300, "c", intTuples(4)) {
+		t.Fatal("publish c")
+	}
+	if m.HasComplete(1, 200, "b") {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := m.lookup(1, 100, "a"); !ok {
+	if !m.HasComplete(1, 100, "a") {
 		t.Fatal("a should have survived")
 	}
 	if m.Tuples() != 10 {
 		t.Fatalf("tuples=%d after eviction", m.Tuples())
 	}
-	// An oversized result is never stored.
-	m.store(1, 400, "d", mk(11))
-	if _, ok := m.lookup(1, 400, "d"); ok {
+	// An oversized result overflows its spool and is never published.
+	if publishEntry(m, 1, 400, "d", intTuples(11)) || m.HasComplete(1, 400, "d") {
 		t.Fatal("oversized entry stored")
+	}
+	if m.Tuples() != 10 || m.SpoolsAbandoned() != 1 {
+		t.Fatalf("overflow: tuples=%d abandoned=%d", m.Tuples(), m.SpoolsAbandoned())
 	}
 }
 
 func TestMemoCollisionIsMiss(t *testing.T) {
 	m := NewMemo(0)
-	m.store(1, 42, "plan-one", []relation.Tuple{relation.NewTuple(relation.Int(1))})
-	// Same fingerprint, different canonical plan: must not replay, and the
-	// incumbent must stay intact.
-	if _, ok := m.lookup(1, 42, "plan-two"); ok {
-		t.Fatal("colliding fingerprint replayed a foreign result")
+	one := []relation.Tuple{relation.NewTuple(relation.Int(1))}
+	if !publishEntry(m, 1, 42, "plan-one", one) {
+		t.Fatal("publish plan-one")
 	}
-	m.store(1, 42, "plan-two", []relation.Tuple{relation.NewTuple(relation.Int(2))})
-	got, ok := m.lookup(1, 42, "plan-one")
-	if !ok || len(got) != 1 || !got[0].Equal(relation.NewTuple(relation.Int(1))) {
-		t.Fatal("incumbent entry clobbered by colliding store")
+	// Same fingerprint, different canonical plan: neither replays the
+	// incumbent nor produces over it.
+	if _, role := m.acquire(1, 42, "plan-two"); role != rolePrivate {
+		t.Fatalf("colliding fingerprint: role %v, want private", role)
+	}
+	e, role := m.acquire(1, 42, "plan-one")
+	if role != roleReplay || len(e.tuples) != 1 || !e.tuples[0].Equal(one[0]) {
+		t.Fatal("incumbent entry clobbered by a colliding plan")
 	}
 }
 
 func TestMemoStaleGenerationIgnored(t *testing.T) {
 	m := NewMemo(0)
 	ts := []relation.Tuple{relation.NewTuple(relation.Int(1))}
-	m.store(5, 1, "k", ts)
+	if !publishEntry(m, 5, 1, "k", ts) {
+		t.Fatal("publish")
+	}
 	// A newer generation flushes.
-	if _, ok := m.lookup(6, 1, "k"); ok {
+	if m.HasComplete(6, 1, "k") {
 		t.Fatal("newer generation must flush")
 	}
-	// A stale writer (generation 5 after 6 was seen) must not resurrect.
-	m.store(5, 1, "k", ts)
-	if _, ok := m.lookup(6, 1, "k"); ok {
-		t.Fatal("stale store must be dropped")
+	// A stale producer (generation 5 after 6 was seen) must not resurrect.
+	if _, role := m.acquire(5, 1, "k"); role != rolePrivate {
+		t.Fatalf("stale acquire: role %v, want private", role)
+	}
+	if m.HasComplete(6, 1, "k") || m.Entries() != 0 {
+		t.Fatal("stale evaluation must not publish")
 	}
 }
 

@@ -38,24 +38,15 @@ type Stats struct {
 	// CacheTuplesSpooled counts tuples buffered into candidate memo entries
 	// while their first evaluation streamed through.
 	CacheTuplesSpooled int64
-	// CacheSingleFlightWaits counts the times a consumer attached to an
-	// in-flight spool caught up with its producer and had to block for the
-	// next append or state change.
-	CacheSingleFlightWaits int64
-	// CacheDuplicatesAvoided counts Shared-node evaluations that found
-	// another execution already producing their fingerprint and attached as
-	// streaming consumers instead of re-evaluating — the single-flight win.
-	CacheDuplicatesAvoided int64
 	// CacheSpoolsAbandoned counts spools this execution gave up on before
-	// publication (cancellation, governor trip, budget overflow, producer
-	// death). Their CacheTuplesSpooled charges bought nothing.
+	// publication (cancellation, governor trip, budget overflow, an early
+	// close). Their CacheTuplesSpooled charges bought nothing.
 	CacheSpoolsAbandoned int64
 	// BatchesEmitted counts blocks emitted by producing operators (scan,
 	// select, project, union, joins, the blocking operators' output, memo
 	// produce/private), at whatever demand they ran under — an emptiness
-	// probe's demand-1 blocks count too. Memo replay and single-flight
-	// consumption re-deliver blocks another evaluation produced and are NOT
-	// counted, which keeps the counter deterministic under concurrency.
+	// probe's demand-1 blocks count too. Memo replay re-delivers blocks
+	// another evaluation produced and is NOT counted.
 	BatchesEmitted int64
 	// BatchTuples counts the tuples carried by those blocks;
 	// BatchTuples/BatchesEmitted is the average block fill.
@@ -83,8 +74,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.CacheTuplesReplayed += o.CacheTuplesReplayed
 	s.CacheTuplesSpooled += o.CacheTuplesSpooled
-	s.CacheSingleFlightWaits += o.CacheSingleFlightWaits
-	s.CacheDuplicatesAvoided += o.CacheDuplicatesAvoided
 	s.CacheSpoolsAbandoned += o.CacheSpoolsAbandoned
 	s.BatchesEmitted += o.BatchesEmitted
 	s.BatchTuples += o.BatchTuples
@@ -102,11 +91,10 @@ func (s *Stats) String() string {
 		base += fmt.Sprintf(" chit=%d cmiss=%d creplay=%d cspool=%d",
 			s.CacheHits, s.CacheMisses, s.CacheTuplesReplayed, s.CacheTuplesSpooled)
 	}
-	// Single-flight counters appear only when concurrency or failure made
-	// them move, keeping serial clean-run output stable.
-	if s.CacheDuplicatesAvoided+s.CacheSingleFlightWaits+s.CacheSpoolsAbandoned > 0 {
-		base += fmt.Sprintf(" cdup=%d cwait=%d caband=%d",
-			s.CacheDuplicatesAvoided, s.CacheSingleFlightWaits, s.CacheSpoolsAbandoned)
+	// Abandoned spools appear only when a failure made them move, keeping
+	// clean-run output stable.
+	if s.CacheSpoolsAbandoned > 0 {
+		base += fmt.Sprintf(" caband=%d", s.CacheSpoolsAbandoned)
 	}
 	// Block counters appear only when some operator emitted a block.
 	if s.BatchesEmitted > 0 {

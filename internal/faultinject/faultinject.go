@@ -65,12 +65,12 @@ const (
 	// PointCatalogLookup fires on catalog relation lookups (both the
 	// planner's resolution pass and the executor's scan builds).
 	PointCatalogLookup = "catalog.lookup"
-	// PointMemoElect fires right after an evaluation is elected producer of
-	// a single-flight memo spool — killing the producer here proves waiters
-	// re-elect instead of deadlocking.
+	// PointMemoElect fires right after an evaluation becomes producer of a
+	// memo spool — killing the producer here proves the entry is abandoned
+	// rather than left building, and the next evaluation produces again.
 	PointMemoElect = "memo.elect"
 	// PointMemoAppend fires on each producer append into an in-flight spool,
-	// after the tuple was charged but before it is published to consumers.
+	// after the block was charged but before it is appended.
 	PointMemoAppend = "memo.append"
 	// PointServiceAdmission fires when the service tier admits a request
 	// (after auth, before it enters the batcher queue).

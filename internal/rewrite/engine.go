@@ -132,15 +132,6 @@ func Normalize(q parser.Query) (parser.Query, error) {
 	return e.Normalize(q)
 }
 
-// NormalizeFormula normalizes a closed formula.
-func NormalizeFormula(f calculus.Formula) (calculus.Formula, error) {
-	q, err := Normalize(parser.Query{Body: f})
-	if err != nil {
-		return nil, err
-	}
-	return q.Body, nil
-}
-
 // Reorder puts a formula into a canonical syntactic order: ∧/∨ chains are
 // flattened, subformulas ordered by a stable key, and rebuilt
 // left-associatively. Combined with the confluence of the rule system this

@@ -7,16 +7,16 @@ import (
 	"repro/internal/core"
 )
 
-// This file lifts the memo's single-flight election one level, from shared
-// subplans to whole requests: identical concurrent queries — same tenant,
-// same canonical fingerprint, same catalog generation — evaluate once. The
-// first arriver is elected producer and runs the engine under its own
-// request context; everyone else attaches as a waiter and shares the
-// producer's materialized Result (results are immutable, so sharing the
-// pointer is the request-level analogue of streaming the memo spool). A
-// producer that dies of its *own* cancellation abandons the entry and wakes
-// the waiters, and the first to re-acquire is re-elected — exactly the
-// memo's producer-death protocol. Deterministic failures (parse, safety,
+// This file is the repo's one single-flight layer: identical concurrent
+// queries — same tenant, same canonical fingerprint, same catalog
+// generation — evaluate once. The first arriver is elected producer and
+// runs the engine under its own request context; everyone else attaches as
+// a waiter and shares the producer's materialized Result (results are
+// immutable, so sharing the pointer is safe). The engine's memo below
+// replays only complete results and never makes one execution wait on
+// another. A producer that dies of its *own* cancellation abandons the
+// entry and wakes the waiters, and the first to re-acquire is re-elected.
+// Deterministic failures (parse, safety,
 // governor trips under the tenant's fixed budgets) are shared like results:
 // every waiter would reproduce them, so re-evaluating would only multiply
 // the cost of the failure.

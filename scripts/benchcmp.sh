@@ -60,7 +60,7 @@ function rowkey(line) {
 BEGIN {
 	ncounters = split("base_tuples_read comparisons intermediate_tuples materializations " \
 	                  "cache_hits cache_misses cache_tuples_replayed cache_tuples_spooled " \
-	                  "cache_duplicates_avoided cache_spools_abandoned batches_emitted " \
+	                  "cache_spools_abandoned batches_emitted " \
 	                  "sheds rate_limited breaker_opened breaker_half_opened breaker_closed breaker_rejected",
 	                  counters, " ");
 	while ((getline line < oldfile) > 0) {

@@ -8,7 +8,7 @@
 #
 # The race pass covers the packages with real concurrency: the executor
 # (internal/exec), whose plan-cache memo is shared by concurrent queries
-# through its cross-query single-flight, the engine API that drives it with
+# on one engine, the engine API that drives it with
 # contexts and timeouts (internal/core), the optimizer that concurrent
 # queries plan through (internal/planopt — it keeps no shared state, only
 # per-call fingerprint maps, and the race pass keeps it that way),
